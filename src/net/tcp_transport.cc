@@ -7,14 +7,13 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -28,7 +27,30 @@ namespace net {
 
 namespace {
 
-constexpr size_t kLengthPrefixBytes = 4;
+// The hello keeps a fixed u32 length prefix, so a peer on any framing can
+// read it and refuse on its magic. Every frame after it carries a LEB128
+// prefix: 7 bits per byte, low group first, high bit set on all but the
+// last byte. A receiver takes at most five prefix bytes (any u32 length);
+// a longer prefix is malformed.
+constexpr size_t kHelloPrefixBytes = 4;
+constexpr size_t kMaxPrefixBytes = 5;
+// A connection's input starts at this size and grows only when a frame
+// outgrows it; recv() fills whatever part is free.
+constexpr size_t kRecvChunk = 64 * 1024;
+// A drained buffer keeps its capacity for reuse up to this size; a burst
+// (the barrier h-row exchange, the final w-row gather) gives its memory
+// back once it has passed.
+constexpr size_t kKeepCapacity = 64 * 1024;
+
+// Empties `buf`, keeping its capacity unless a burst grew it.
+template <typename T>
+void Recycle(std::vector<T>* buf) {
+  if (buf->capacity() * sizeof(T) > kKeepCapacity) {
+    std::vector<T>().swap(*buf);
+  } else {
+    buf->clear();
+  }
+}
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -94,48 +116,64 @@ Status WriteExact(int fd, const uint8_t* buf, size_t n) {
   return Status::OK();
 }
 
-// One framed buffer: [u32 length][payload]. Only the (cold) handshake
-// copies the payload behind a prefix; the hot send path keeps the prefix
-// beside the moved-in payload instead (see Framed).
-std::vector<uint8_t> FrameUp(const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> framed;
-  framed.reserve(kLengthPrefixBytes + payload.size());
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  framed.resize(kLengthPrefixBytes);
-  std::memcpy(framed.data(), &len, kLengthPrefixBytes);
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  return framed;
+// Appends [LEB128 length][payload] to `out`; returns the bytes appended.
+size_t AppendFrame(const std::vector<uint8_t>& payload,
+                   std::vector<uint8_t>* out) {
+  uint8_t prefix[(sizeof(size_t) * 8 + 6) / 7];
+  size_t n = 0;
+  size_t len = payload.size();
+  while (len >= 0x80) {
+    prefix[n++] = static_cast<uint8_t>(len | 0x80);
+    len >>= 7;
+  }
+  prefix[n++] = static_cast<uint8_t>(len);
+  out->insert(out->end(), prefix, prefix + n);
+  out->insert(out->end(), payload.begin(), payload.end());
+  return n + payload.size();
 }
 
-// One queued outbound frame: the 4-byte length prefix lives beside the
-// payload (moved in from Send(), never copied); `offset` tracks write
-// progress across the virtual [prefix][payload] concatenation.
-struct Framed {
-  explicit Framed(std::vector<uint8_t> p) : payload(std::move(p)) {
-    const uint32_t len = static_cast<uint32_t>(payload.size());
-    std::memcpy(prefix, &len, kLengthPrefixBytes);
-  }
-  size_t total() const { return kLengthPrefixBytes + payload.size(); }
-  const uint8_t* At(size_t offset, size_t* contiguous) const {
-    if (offset < kLengthPrefixBytes) {
-      *contiguous = kLengthPrefixBytes - offset;
-      return prefix + offset;
+enum class Prefix { kIncomplete, kOk, kMalformed };
+
+// Decodes the LEB128 prefix at the front of `avail` bytes.
+Prefix DecodeLength(const uint8_t* data, size_t avail, uint64_t* len,
+                    size_t* prefix_bytes) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < kMaxPrefixBytes; ++i) {
+    if (i == avail) return Prefix::kIncomplete;
+    value |= static_cast<uint64_t>(data[i] & 0x7F) << (7 * i);
+    if ((data[i] & 0x80) == 0) {
+      *len = value;
+      *prefix_bytes = i + 1;
+      return Prefix::kOk;
     }
-    *contiguous = total() - offset;
-    return payload.data() + (offset - kLengthPrefixBytes);
   }
-  uint8_t prefix[kLengthPrefixBytes];
-  std::vector<uint8_t> payload;
-};
+  return Prefix::kMalformed;
+}
 
 struct Conn {
+  // Guarded by Impl::send_mu, which the communicator takes to mark the
+  // peer dead; the communicator itself reads it without the lock.
   int fd = -1;
-  // Outbound frames, drained by the communicator thread; guarded by
-  // Impl::send_mu together with fd (the thread marks dead peers there).
-  std::deque<Framed> outbox;
-  size_t out_offset = 0;  // progress within outbox.front()
+  // Framed bytes Send() appended and the communicator has not taken yet;
+  // guarded by Impl::send_mu.
+  std::vector<uint8_t> outbuf;
+  // Set by the Send() that found no wakeup pending (that Send() writes the
+  // wake pipe); cleared by the communicator right before it takes outbuf.
+  std::atomic<bool> wake_pending{false};
+  // Communicator only: the taken buffer and how much of it is on the wire.
+  std::vector<uint8_t> sending;
+  size_t sent = 0;
+  // Communicator only: inbound bytes, [0, in_len) valid; a partial frame
+  // waits here for the rest of its bytes.
   std::vector<uint8_t> inbuf;
-  size_t in_consumed = 0;  // parsed prefix of inbuf
+  size_t in_len = 0;
+};
+
+// Reassembled inbound frames: payloads back to back in `bytes`, and one
+// (source rank, end offset) entry per frame.
+struct InboundFrames {
+  std::vector<uint8_t> bytes;
+  std::vector<std::pair<int, size_t>> ends;
 };
 
 }  // namespace
@@ -154,8 +192,14 @@ struct TcpTransport::Impl {
   std::atomic<bool> closing{false};
   bool closed = false;  // guarded by close_mu; Close() is idempotent
   std::mutex close_mu;
+  // The communicator appends each recv()'s frames to `arrived` under
+  // recv_mu; TryReceive() swaps them out into `taken` and pops from there
+  // without the lock (it has a single caller at a time).
   std::mutex recv_mu;
-  std::deque<std::pair<int, std::vector<uint8_t>>> recv_q;
+  InboundFrames arrived;
+  InboundFrames taken;
+  size_t taken_next = 0;    // next entry of taken.ends
+  size_t taken_offset = 0;  // where that frame starts in taken.bytes
   std::atomic<int64_t> messages_sent{0};
   std::atomic<int64_t> messages_received{0};
   std::atomic<int64_t> bytes_sent{0};
@@ -207,18 +251,20 @@ struct TcpTransport::Impl {
     return Status::OK();
   }
 
-  // Sends our framed hello and reads/validates the peer's framed hello.
+  // Sends our [u32 length][hello] and reads/validates the peer's.
   Status Handshake(int fd, int expected_rank, double timeout,
                    int* peer_rank) {
     std::vector<uint8_t> hello_payload;
     EncodeHello(MyHello(), &hello_payload);
-    NOMAD_RETURN_IF_ERROR(WriteExact(fd, FrameUp(hello_payload).data(),
-                                     kLengthPrefixBytes +
-                                         hello_payload.size()));
-    uint8_t len_buf[kLengthPrefixBytes];
-    NOMAD_RETURN_IF_ERROR(ReadExact(fd, len_buf, kLengthPrefixBytes, timeout));
+    std::vector<uint8_t> framed(kHelloPrefixBytes);
+    const uint32_t hello_len = static_cast<uint32_t>(hello_payload.size());
+    std::memcpy(framed.data(), &hello_len, kHelloPrefixBytes);
+    framed.insert(framed.end(), hello_payload.begin(), hello_payload.end());
+    NOMAD_RETURN_IF_ERROR(WriteExact(fd, framed.data(), framed.size()));
+    uint8_t len_buf[kHelloPrefixBytes];
+    NOMAD_RETURN_IF_ERROR(ReadExact(fd, len_buf, kHelloPrefixBytes, timeout));
     uint32_t len = 0;
-    std::memcpy(&len, len_buf, kLengthPrefixBytes);
+    std::memcpy(&len, len_buf, kHelloPrefixBytes);
     if (len == 0 || len > 64) {
       return Status::IOError("handshake frame has implausible length " +
                              std::to_string(len));
@@ -232,63 +278,132 @@ struct TcpTransport::Impl {
     return Status::OK();
   }
 
-  // Parses complete frames out of a connection's input buffer into the
-  // receive queue. Returns false (and records nothing more) on a frame
-  // that exceeds max_frame_bytes — the connection is poisoned.
+  // Moves the complete frames at the front of a connection's input into
+  // `arrived`, under one lock. Returns false on a malformed, empty or
+  // oversized length prefix: the connection is poisoned.
   bool ExtractFrames(int src, Conn* conn) {
-    while (conn->inbuf.size() - conn->in_consumed >= kLengthPrefixBytes) {
-      uint32_t len = 0;
-      std::memcpy(&len, conn->inbuf.data() + conn->in_consumed,
-                  kLengthPrefixBytes);
-      if (len == 0 || len > options.max_frame_bytes) {
-        NOMAD_LOG(kWarning) << "tcp transport: dropping rank-" << src
-                            << " connection after " << len
-                            << "-byte frame length";
-        return false;
-      }
-      if (conn->inbuf.size() - conn->in_consumed <
-          kLengthPrefixBytes + len) {
+    const uint8_t* data = conn->inbuf.data();
+    size_t at = 0;
+    int64_t frames = 0;
+    std::string poisoned;
+    std::unique_lock<std::mutex> lock(recv_mu, std::defer_lock);
+    while (at < conn->in_len) {
+      uint64_t len = 0;
+      size_t prefix = 0;
+      const Prefix parsed =
+          DecodeLength(data + at, conn->in_len - at, &len, &prefix);
+      if (parsed == Prefix::kIncomplete) break;
+      if (parsed == Prefix::kMalformed) {
+        poisoned = "a malformed length prefix";
         break;
       }
-      const uint8_t* payload =
-          conn->inbuf.data() + conn->in_consumed + kLengthPrefixBytes;
+      if (len == 0 || len > options.max_frame_bytes) {
+        poisoned = "a " + std::to_string(len) + "-byte frame length";
+        break;
+      }
+      if (conn->in_len - at - prefix < len) break;
+      const uint8_t* payload = data + at + prefix;
       // Heartbeat beacons are transport-internal: their arrival already
       // refreshed last_heard_ns, so they are counted but never surfaced.
       const bool beacon =
           len >= 2 && payload[0] == static_cast<uint8_t>(MsgType::kControl) &&
           payload[1] == static_cast<uint8_t>(ControlKind::kHeartbeat);
       if (!beacon) {
-        std::vector<uint8_t> frame(payload, payload + len);
-        std::lock_guard<std::mutex> lock(recv_mu);
-        recv_q.emplace_back(src, std::move(frame));
+        if (!lock.owns_lock()) lock.lock();
+        arrived.bytes.insert(arrived.bytes.end(), payload, payload + len);
+        arrived.ends.emplace_back(src, arrived.bytes.size());
       }
-      messages_received.fetch_add(1, std::memory_order_relaxed);
-      bytes_received.fetch_add(
-          static_cast<int64_t>(kLengthPrefixBytes + len),
-          std::memory_order_relaxed);
-      conn->in_consumed += kLengthPrefixBytes + len;
+      at += prefix + static_cast<size_t>(len);
+      ++frames;
     }
-    if (conn->in_consumed > 0) {
-      conn->inbuf.erase(conn->inbuf.begin(),
-                        conn->inbuf.begin() +
-                            static_cast<ptrdiff_t>(conn->in_consumed));
-      conn->in_consumed = 0;
+    if (lock.owns_lock()) lock.unlock();
+    messages_received.fetch_add(frames, std::memory_order_relaxed);
+    bytes_received.fetch_add(static_cast<int64_t>(at),
+                             std::memory_order_relaxed);
+    if (!poisoned.empty()) {
+      NOMAD_LOG(kWarning) << "tcp transport: dropping rank-" << src
+                          << " connection after " << poisoned;
+      return false;
+    }
+    if (at > 0) {
+      std::memmove(conn->inbuf.data(), data + at, conn->in_len - at);
+      conn->in_len -= at;
     }
     return true;
   }
 
-  void MarkDead(int peer) {
-    std::lock_guard<std::mutex> lock(send_mu);
-    Conn& conn = conns[static_cast<size_t>(peer)];
-    if (conn.fd >= 0) {
-      close(conn.fd);
-      conn.fd = -1;
+  // Reads everything the peer sent until the socket would block. Returns
+  // false when the connection is done (EOF, error, or a poisoned stream).
+  bool ReadFrom(int peer, Conn* conn) {
+    for (;;) {
+      if (conn->in_len == conn->inbuf.size()) {
+        conn->inbuf.resize(std::max(kRecvChunk, 2 * conn->inbuf.size()));
+      }
+      const size_t room = conn->inbuf.size() - conn->in_len;
+      const ssize_t r =
+          recv(conn->fd, conn->inbuf.data() + conn->in_len, room, 0);
+      if (r > 0) {
+        last_heard_ns[static_cast<size_t>(peer)].store(
+            NowNs(), std::memory_order_relaxed);
+        conn->in_len += static_cast<size_t>(r);
+        if (!ExtractFrames(peer, conn)) return false;
+        // A short read drained the socket; poll reports anything newer.
+        if (static_cast<size_t>(r) < room) return true;
+        continue;
+      }
+      // Orderly peer close: normal during shutdown, a dead peer
+      // otherwise. Either way this direction is done.
+      if (r == 0) return false;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno != EINTR) return false;
     }
-    conn.outbox.clear();
-    conn.out_offset = 0;
   }
 
-  /// Appends one heartbeat beacon to every live peer's outbox once the
+  // Writes one peer's taken bytes, taking what Send() queued since each
+  // time they are all on the wire, until the queue is empty or the socket
+  // would block (the unsent tail then waits for POLLOUT). Returns false
+  // when the connection failed.
+  bool WriteTo(Conn* conn) {
+    for (;;) {
+      while (conn->sent < conn->sending.size()) {
+        const ssize_t r =
+            send(conn->fd, conn->sending.data() + conn->sent,
+                 conn->sending.size() - conn->sent, MSG_NOSIGNAL);
+        if (r < 0) {
+          if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+          if (errno == EINTR) continue;
+          return false;
+        }
+        conn->sent += static_cast<size_t>(r);
+      }
+      Recycle(&conn->sending);
+      conn->sent = 0;
+      // Cleared before the take: a Send() appending after it finds no
+      // wakeup pending and writes the pipe, so no frame is left behind.
+      conn->wake_pending.store(false);
+      {
+        std::lock_guard<std::mutex> lock(send_mu);
+        conn->sending.swap(conn->outbuf);
+      }
+      if (conn->sending.empty()) return true;
+    }
+  }
+
+  void MarkDead(int peer) {
+    Conn& conn = conns[static_cast<size_t>(peer)];
+    {
+      std::lock_guard<std::mutex> lock(send_mu);
+      if (conn.fd >= 0) {
+        close(conn.fd);
+        conn.fd = -1;
+      }
+      conn.outbuf.clear();
+    }
+    conn.sending.clear();
+    conn.sent = 0;
+  }
+
+  /// Appends one heartbeat beacon to every live peer's output once the
   /// interval elapsed. Runs on the communicator thread, so its poll
   /// timeout bounds the beacon jitter.
   void MaybeBeat() {
@@ -303,15 +418,14 @@ struct TcpTransport::Impl {
     beat.rank = rank;
     std::vector<uint8_t> payload;
     EncodeControl(beat, &payload);
-    const int64_t wire_bytes =
-        static_cast<int64_t>(kLengthPrefixBytes + payload.size());
     std::lock_guard<std::mutex> lock(send_mu);
     for (int r = 0; r < world; ++r) {
       Conn& conn = conns[static_cast<size_t>(r)];
       if (r == rank || conn.fd < 0) continue;
-      conn.outbox.emplace_back(payload);  // each peer's Framed owns a copy
+      const size_t wire_bytes = AppendFrame(payload, &conn.outbuf);
       messages_sent.fetch_add(1, std::memory_order_relaxed);
-      bytes_sent.fetch_add(wire_bytes, std::memory_order_relaxed);
+      bytes_sent.fetch_add(static_cast<int64_t>(wire_bytes),
+                           std::memory_order_relaxed);
     }
   }
 
@@ -329,27 +443,31 @@ struct TcpTransport::Impl {
                                             1e3 / 4)))
             : 200;
     for (;;) {
+      // Read before the buffers are taken: whatever Send() queued before
+      // Close() set the flag is then part of this pass.
+      const bool flushing = closing.load(std::memory_order_acquire);
       MaybeBeat();
       pfds.clear();
       pfd_rank.clear();
       pfds.push_back({wake_pipe[0], POLLIN, 0});
       pfd_rank.push_back(-1);
       bool any_outbound = false;
-      {
-        std::lock_guard<std::mutex> lock(send_mu);
-        for (int r = 0; r < world; ++r) {
-          Conn& conn = conns[static_cast<size_t>(r)];
-          if (conn.fd < 0) continue;
-          short events = POLLIN;
-          if (!conn.outbox.empty()) {
-            events |= POLLOUT;
-            any_outbound = true;
-          }
-          pfds.push_back({conn.fd, events, 0});
-          pfd_rank.push_back(r);
+      for (int r = 0; r < world; ++r) {
+        Conn& conn = conns[static_cast<size_t>(r)];
+        if (conn.fd < 0) continue;
+        if (!WriteTo(&conn)) {
+          MarkDead(r);
+          continue;
         }
+        short events = POLLIN;
+        if (conn.sent < conn.sending.size()) {
+          events |= POLLOUT;
+          any_outbound = true;
+        }
+        pfds.push_back({conn.fd, events, 0});
+        pfd_rank.push_back(r);
       }
-      if (closing.load(std::memory_order_acquire)) {
+      if (flushing) {
         if (!closing_seen) {
           closing_seen = true;
           closing_watch.Restart();
@@ -374,86 +492,11 @@ struct TcpTransport::Impl {
           }
           continue;
         }
+        // POLLOUT needs nothing here: the next pass writes the tail.
         Conn& conn = conns[static_cast<size_t>(peer)];
-        if (conn.fd < 0) continue;
-        if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-          bool dead = false;
-          for (;;) {
-            uint8_t buf[65536];
-            const ssize_t r = recv(conn.fd, buf, sizeof(buf), 0);
-            if (r > 0) {
-              last_heard_ns[static_cast<size_t>(peer)].store(
-                  NowNs(), std::memory_order_relaxed);
-              conn.inbuf.insert(conn.inbuf.end(), buf, buf + r);
-              if (!ExtractFrames(peer, &conn)) {
-                dead = true;
-                break;
-              }
-              continue;
-            }
-            if (r == 0) {
-              // Orderly peer close: normal during shutdown, a dead peer
-              // otherwise. Either way this direction is done.
-              dead = true;
-              break;
-            }
-            if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-            if (errno == EINTR) continue;
-            dead = true;
-            break;
-          }
-          if (dead) {
-            MarkDead(peer);
-            continue;
-          }
-        }
-        if (pfds[i].revents & POLLOUT) {
-          std::lock_guard<std::mutex> lock(send_mu);
-          bool dead = false;
-          while (!conn.outbox.empty()) {
-            const Framed& front = conn.outbox.front();
-            // One sendmsg per attempt covers both the (remaining) length
-            // prefix and the payload — no extra syscall for the 4 bytes, no
-            // copy to make them contiguous, and MSG_NOSIGNAL still applies
-            // (writev would SIGPIPE on a closed peer).
-            struct iovec iov[2];
-            int iov_n = 0;
-            size_t contiguous = 0;
-            const uint8_t* at = front.At(conn.out_offset, &contiguous);
-            iov[iov_n].iov_base = const_cast<uint8_t*>(at);
-            iov[iov_n].iov_len = contiguous;
-            ++iov_n;
-            if (conn.out_offset < kLengthPrefixBytes &&
-                !front.payload.empty()) {
-              iov[iov_n].iov_base =
-                  const_cast<uint8_t*>(front.payload.data());
-              iov[iov_n].iov_len = front.payload.size();
-              ++iov_n;
-            }
-            struct msghdr msg = {};
-            msg.msg_iov = iov;
-            msg.msg_iovlen = static_cast<size_t>(iov_n);
-            const ssize_t r = sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-            if (r < 0) {
-              if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-              if (errno == EINTR) continue;
-              dead = true;
-              break;
-            }
-            conn.out_offset += static_cast<size_t>(r);
-            if (conn.out_offset == front.total()) {
-              conn.outbox.pop_front();
-              conn.out_offset = 0;
-            }
-          }
-          if (dead) {
-            if (conn.fd >= 0) {
-              close(conn.fd);
-              conn.fd = -1;
-            }
-            conn.outbox.clear();
-            conn.out_offset = 0;
-          }
+        if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) &&
+            !ReadFrom(peer, &conn)) {
+          MarkDead(peer);
         }
       }
     }
@@ -499,7 +542,7 @@ Result<std::unique_ptr<TcpTransport>> TcpTransport::Listen(
   impl->rank = rank;
   impl->world = world;
   impl->options = options;
-  impl->conns.resize(static_cast<size_t>(world));
+  impl->conns = std::vector<Conn>(static_cast<size_t>(world));
   impl->last_heard_ns =
       std::vector<std::atomic<int64_t>>(static_cast<size_t>(world));
 
@@ -658,11 +701,14 @@ Status TcpTransport::Send(int dest, std::vector<uint8_t> frame) {
     return Status::InvalidArgument("tcp: bad destination rank " +
                                    std::to_string(dest));
   }
+  // Reject here instead of letting the receiver poison the connection: its
+  // ExtractFrames() drops the whole link on a zero or oversized length
+  // prefix. Senders that can legitimately exceed the limit (coalesced
+  // codec flushes) split before calling Send().
+  if (frame.empty()) {
+    return Status::InvalidArgument("tcp: empty frame");
+  }
   if (frame.size() > im.options.max_frame_bytes) {
-    // Reject here instead of letting the receiver poison the connection:
-    // its ExtractFrames() drops the whole link on an oversized length
-    // prefix. Senders that can legitimately exceed the limit (coalesced
-    // codec flushes) split before calling Send().
     return Status::InvalidArgument(
         "tcp: frame of " + std::to_string(frame.size()) +
         " bytes exceeds max_frame_bytes " +
@@ -674,34 +720,46 @@ Status TcpTransport::Send(int dest, std::vector<uint8_t> frame) {
   if (im.closing.load(std::memory_order_acquire)) {
     return Status::FailedPrecondition("tcp: transport closed");
   }
-  const int64_t wire_bytes =
-      static_cast<int64_t>(kLengthPrefixBytes + frame.size());
+  Conn& conn = im.conns[static_cast<size_t>(dest)];
+  size_t wire_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(im.send_mu);
-    Conn& conn = im.conns[static_cast<size_t>(dest)];
     if (conn.fd < 0) {
       // The connection died (EPIPE/ECONNRESET/EOF, observed by the
       // communicator thread) — a liveness condition, not a usage error.
       return Status::Unavailable("tcp: rank " + std::to_string(dest) +
                                  " is unreachable (connection lost)");
     }
-    conn.outbox.emplace_back(std::move(frame));  // payload moved, not copied
+    wire_bytes = AppendFrame(frame, &conn.outbuf);
   }
   im.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  im.bytes_sent.fetch_add(wire_bytes, std::memory_order_relaxed);
-  const uint8_t wake = 1;
-  // A full pipe means wakeups are already pending; dropping this one is fine.
-  [[maybe_unused]] const ssize_t r = write(im.wake_pipe[1], &wake, 1);
+  im.bytes_sent.fetch_add(static_cast<int64_t>(wire_bytes),
+                          std::memory_order_relaxed);
+  if (!conn.wake_pending.exchange(true)) {
+    const uint8_t wake = 1;
+    [[maybe_unused]] const ssize_t r = write(im.wake_pipe[1], &wake, 1);
+  }
   return Status::OK();
 }
 
 bool TcpTransport::TryReceive(std::vector<uint8_t>* frame, int* src) {
   Impl& im = *impl_;
-  std::lock_guard<std::mutex> lock(im.recv_mu);
-  if (im.recv_q.empty()) return false;
-  *src = im.recv_q.front().first;
-  *frame = std::move(im.recv_q.front().second);
-  im.recv_q.pop_front();
+  InboundFrames& taken = im.taken;
+  if (im.taken_next == taken.ends.size()) {
+    Recycle(&taken.bytes);
+    Recycle(&taken.ends);
+    im.taken_next = 0;
+    im.taken_offset = 0;
+    std::lock_guard<std::mutex> lock(im.recv_mu);
+    taken.bytes.swap(im.arrived.bytes);
+    taken.ends.swap(im.arrived.ends);
+  }
+  if (im.taken_next == taken.ends.size()) return false;
+  const auto [from, end] = taken.ends[im.taken_next++];
+  frame->assign(taken.bytes.begin() + static_cast<ptrdiff_t>(im.taken_offset),
+                taken.bytes.begin() + static_cast<ptrdiff_t>(end));
+  im.taken_offset = end;
+  *src = from;
   return true;
 }
 

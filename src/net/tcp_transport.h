@@ -56,11 +56,20 @@ struct TcpOptions {
 /// accepts from all j > i; a handshake hello (net/wire_format.h) identifies
 /// and validates each peer before any frame moves.
 ///
-/// Framing: every payload crosses the wire as [u32 length][payload bytes].
-/// A communicator thread owns all sockets after Establish(): it drains the
-/// per-peer send queues Send() fills (woken through a pipe, so an idle
-/// endpoint burns no CPU) and reassembles inbound frames into the receive
-/// queue TryReceive() pops. Send() never blocks on the network.
+/// Framing: the hello crosses the wire as [u32 length][hello]; every frame
+/// after it as [LEB128 length][payload bytes] (1 byte of length up to 127
+/// payload bytes, 2 up to 16383). The hello magic ("NOM2") names this
+/// framing, so a peer on another framing is refused at connect.
+///
+/// A communicator thread owns all sockets after Establish(). Send() appends
+/// the framed payload to the peer's contiguous outbound buffer under a
+/// short lock and writes the wake pipe only when no wakeup is pending, so
+/// neither a syscall nor a wait behind one sits on the send path. The
+/// communicator swaps each buffer out under the lock and writes it outside
+/// it, keeping an unsent tail for POLLOUT. Each recv()'s complete frames
+/// enter the receive queue under one lock; TryReceive() swaps the queue out
+/// and pops from its own copy. Send() never blocks on the network, and an
+/// idle endpoint burns no CPU.
 ///
 /// Lifecycle: Listen() binds the local listener (port 0 picks an ephemeral
 /// port, see listen_port()); Establish() blocks until the full mesh is
@@ -91,12 +100,13 @@ class TcpTransport final : public Transport {
   int world() const override;  ///< Ranks in the job.
 
   /// Queues one frame for `dest`; the communicator thread writes it out.
+  /// An empty frame or one above max_frame_bytes is InvalidArgument.
   Status Send(int dest, std::vector<uint8_t> frame) override;
 
   /// Pops the oldest fully-reassembled inbound frame, if any.
   bool TryReceive(std::vector<uint8_t>* frame, int* src) override;
 
-  /// Traffic counters; bytes include the 4-byte length prefixes.
+  /// Traffic counters; bytes include the length prefixes.
   TransportStats stats() const override;
 
   /// kDead once the peer's connection is gone (socket error, EOF, its

@@ -11,9 +11,8 @@ namespace net {
 
 /// Byte/message counters of one transport endpoint. All counters are
 /// cumulative since construction and include both token and control
-/// frames; bytes count encoded payloads (the TCP backend's 4-byte length
-/// prefixes are included in the byte totals, since that is what crosses
-/// the wire).
+/// frames; bytes count encoded payloads (the TCP backend's length prefixes
+/// are included in the byte totals, since that is what crosses the wire).
 struct TransportStats {
   int64_t messages_sent = 0;      ///< Frames accepted by Send().
   int64_t messages_received = 0;  ///< Frames handed out by TryReceive().
@@ -99,7 +98,7 @@ class Transport {
     return PeerStatus::kAlive;
   }
 
-  /// Flushes queued sends (TCP: drains the per-peer send queues onto the
+  /// Flushes queued sends (TCP: drains the per-peer send buffers onto the
   /// sockets) and tears the endpoint down; Send() fails afterwards while
   /// TryReceive() keeps serving frames that already arrived. Idempotent.
   virtual Status Close() = 0;

@@ -9,7 +9,7 @@ namespace net {
 
 namespace {
 
-constexpr uint32_t kHelloMagic = 0x314d4f4e;  // "NOM1" read as LE u32
+constexpr uint32_t kHelloMagic = 0x324d4f4e;  // "NOM2" read as LE u32
 constexpr size_t kHelloBytes = 1 + 4 + 4 + 4 + 2 + 1 + 1;
 constexpr size_t kControlBytes = 1 + 1 + 1 + 4 + 4 + 7 * 8 + 2 * 8;
 

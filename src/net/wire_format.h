@@ -150,6 +150,8 @@ struct HelloFrame {
 
 /// Encodes a HelloFrame into `out` (cleared first). Layout:
 /// [type u8][magic u32][rank i32][world i32][k u16][precision u8][codec u8].
+/// The magic, "NOM2", also names the TCP framing that follows the hello
+/// (LEB128 length prefixes), so peers on another framing refuse each other.
 void EncodeHello(const HelloFrame& hello, std::vector<uint8_t>* out);
 
 /// Decodes and validates a HelloFrame (magic, exact length, known

@@ -1,6 +1,12 @@
 #include "net/transport.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -17,13 +23,14 @@ namespace nomad {
 namespace net {
 namespace {
 
-std::vector<uint8_t> Payload(int src, int seq) {
+std::vector<uint8_t> Payload(int src, int seq, int stream = 0) {
   // A real control frame, so the bytes that cross the transport also pass
   // through the codec on the far side.
   ControlFrame frame;
   frame.kind = ControlKind::kTraceSync;
   frame.rank = src;
   frame.epoch = seq;
+  frame.count = stream;
   std::vector<uint8_t> buf;
   EncodeControl(frame, &buf);
   return buf;
@@ -119,30 +126,43 @@ TEST(LoopbackTransportTest, BroadcastReachesEveryoneButSelf) {
   EXPECT_FALSE(fabric[1]->TryReceive(&frame, &src));
 }
 
-TEST(LoopbackTransportTest, ConcurrentSendersDontLoseFrames) {
-  auto fabric = MakeLoopbackFabric(3);
+// Thread i sends stream i through senders[i], all at once, to `receiver`;
+// every stream must arrive complete and in order.
+void ConcurrentSendersDontLoseFrames(const std::vector<Transport*>& senders,
+                                     Transport* receiver) {
   constexpr int kPerSender = 500;
-  std::thread s1([&] {
-    for (int i = 0; i < kPerSender; ++i) {
-      ASSERT_TRUE(fabric[1]->Send(0, Payload(1, i)).ok());
-    }
-  });
-  std::thread s2([&] {
-    for (int i = 0; i < kPerSender; ++i) {
-      ASSERT_TRUE(fabric[2]->Send(0, Payload(2, i)).ok());
-    }
-  });
-  s1.join();
-  s2.join();
-  std::vector<int> next(3, 0);
-  for (int got = 0; got < 2 * kPerSender; ++got) {
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < senders.size(); ++i) {
+    threads.emplace_back([&, i] {
+      Transport* sender = senders[i];
+      for (int seq = 0; seq < kPerSender; ++seq) {
+        ASSERT_TRUE(sender
+                        ->Send(receiver->rank(),
+                               Payload(sender->rank(), seq,
+                                       static_cast<int>(i)))
+                        .ok());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::vector<int> next(senders.size(), 0);
+  for (size_t got = 0; got < senders.size() * kPerSender; ++got) {
     std::vector<uint8_t> frame;
     int src = -1;
-    ASSERT_TRUE(ReceiveWithin(fabric[0].get(), &frame, &src));
+    ASSERT_TRUE(ReceiveWithin(receiver, &frame, &src)) << "after " << got;
     auto decoded = DecodeControl(frame.data(), frame.size());
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().epoch, next[static_cast<size_t>(src)]++);
+    const size_t stream = static_cast<size_t>(decoded.value().count);
+    ASSERT_LT(stream, senders.size());
+    EXPECT_EQ(src, senders[stream]->rank());
+    EXPECT_EQ(decoded.value().epoch, next[stream]++) << "stream " << stream;
   }
+}
+
+TEST(LoopbackTransportTest, ConcurrentSendersDontLoseFrames) {
+  auto fabric = MakeLoopbackFabric(3);
+  ConcurrentSendersDontLoseFrames({fabric[1].get(), fabric[2].get()},
+                                  fabric[0].get());
 }
 
 // Builds a world-sized TCP mesh on 127.0.0.1 with kernel-assigned ports:
@@ -225,21 +245,72 @@ TEST(TcpTransportTest, LargeFactorRowFramesSurviveReassembly) {
   }
 }
 
-TEST(TcpTransportTest, CloseFlushesPendingSends) {
+TEST(TcpTransportTest, ConcurrentSendersDontLoseFrames) {
   auto mesh = MakeTcpMesh(2);
   ASSERT_EQ(mesh.size(), 2u);
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(mesh[0]->Send(1, Payload(0, i)).ok());
-  }
+  // Four threads of rank 0 share one connection to rank 1.
+  ConcurrentSendersDontLoseFrames(
+      {mesh[0].get(), mesh[0].get(), mesh[0].get(), mesh[0].get()},
+      mesh[1].get());
+}
+
+TEST(TcpTransportTest, EmptyFrameIsRejectedAndTheLinkSurvives) {
+  auto mesh = MakeTcpMesh(2);
+  ASSERT_EQ(mesh.size(), 2u);
+  // A zero length prefix would make the receiver drop the connection.
+  EXPECT_EQ(mesh[0]->Send(1, {}).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(mesh[0]->Send(1, Payload(0, 7)).ok());
+  std::vector<uint8_t> frame;
+  int src = -1;
+  ASSERT_TRUE(ReceiveWithin(mesh[1].get(), &frame, &src));
+  auto decoded = DecodeControl(frame.data(), frame.size());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().epoch, 7);
+  EXPECT_EQ(mesh[0]->peer_status(1), PeerStatus::kAlive);
+  EXPECT_EQ(mesh[1]->peer_status(0), PeerStatus::kAlive);
+}
+
+// Queues `frames` on rank 0 and closes it at once: every frame must still
+// reach rank 1, byte-exact and in order.
+void ExpectCloseFlushes(const std::vector<std::vector<uint8_t>>& frames) {
+  auto mesh = MakeTcpMesh(2);
+  ASSERT_EQ(mesh.size(), 2u);
+  for (const auto& f : frames) ASSERT_TRUE(mesh[0]->Send(1, f).ok());
   ASSERT_TRUE(mesh[0]->Close().ok());
-  for (int i = 0; i < 50; ++i) {
+  for (size_t i = 0; i < frames.size(); ++i) {
     std::vector<uint8_t> frame;
     int src = -1;
     ASSERT_TRUE(ReceiveWithin(mesh[1].get(), &frame, &src))
         << "frame " << i << " lost at close";
+    ASSERT_TRUE(frame == frames[i])
+        << "frame " << i << ": " << frame.size() << " bytes, sent "
+        << frames[i].size();
   }
   EXPECT_EQ(mesh[0]->Send(1, Payload(0, 0)).code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(TcpTransportTest, CloseFlushesPendingSends) {
+  std::vector<std::vector<uint8_t>> controls;
+  for (int i = 0; i < 50; ++i) controls.push_back(Payload(0, i));
+  ExpectCloseFlushes(controls);
+
+  // 16 MiB, far past the socket buffers, so the flush hits EAGAIN midway.
+  // The sizes straddle the 1/2- and 2/3-byte length-prefix boundaries, so
+  // recv() boundaries split prefixes of every width.
+  const size_t sizes[] = {127, 128, 16383, 16384, 1, 129, 16385};
+  std::vector<std::vector<uint8_t>> burst;
+  size_t total = 0;
+  for (size_t i = 0; total < (size_t{16} << 20); ++i) {
+    std::vector<uint8_t> frame(sizes[i % std::size(sizes)]);
+    for (size_t b = 0; b < frame.size(); ++b) {
+      frame[b] = static_cast<uint8_t>(i * 131 + b * 7 + 1);
+    }
+    frame[0] = 0xA5;  // never the [kControl, kHeartbeat] beacon opener
+    total += frame.size();
+    burst.push_back(std::move(frame));
+  }
+  ExpectCloseFlushes(burst);
 }
 
 TEST(TcpTransportTest, MismatchedHelloRefusesToConnect) {
@@ -287,6 +358,90 @@ bool StatusWithin(Transport* t, int peer, PeerStatus want) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
   return false;
+}
+
+// Connects to `port` as rank 1 of 2 over a plain socket and completes the
+// hello exchange by hand; returns the socket, or -1.
+int RawPeerHandshake(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  struct timeval timeout = {5, 0};  // a silent endpoint fails the test
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  HelloFrame hello;
+  hello.rank = 1;
+  hello.world = 2;
+  std::vector<uint8_t> payload;
+  EncodeHello(hello, &payload);
+  // The hello alone keeps a u32 length prefix.
+  std::vector<uint8_t> framed(4);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::memcpy(framed.data(), &len, 4);
+  framed.insert(framed.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> reply(framed.size());
+  if (connect(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      send(fd, framed.data(), framed.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(framed.size()) ||
+      recv(fd, reply.data(), reply.size(), MSG_WAITALL) !=
+          static_cast<ssize_t>(reply.size())) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// Waits up to ~2s for the endpoint to close `fd`: true on EOF or reset.
+bool ClosedWithin(int fd) {
+  struct pollfd pfd = {fd, POLLIN, 0};
+  if (poll(&pfd, 1, 2000) != 1) return false;
+  uint8_t byte = 0;
+  return recv(fd, &byte, 1, 0) <= 0;
+}
+
+TEST(TcpTransportTest, MalformedLengthPrefixDropsThePeerCleanly) {
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> bytes;
+  };
+  const Case cases[] = {
+      {"five continuation bytes", {0x80, 0x80, 0x80, 0x80, 0x80}},
+      {"1001 bytes over a 1000-byte limit", {0xE9, 0x07}},
+      {"zero length", {0x00}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TcpOptions opts;
+    opts.max_frame_bytes = 1000;
+    auto listened = TcpTransport::Listen(0, 2, /*port=*/0, opts);
+    ASSERT_TRUE(listened.ok());
+    TcpTransport* endpoint = listened.value().get();
+    const std::vector<TcpPeer> peers = {
+        {"127.0.0.1", endpoint->listen_port()}, {"127.0.0.1", 0}};
+    Status established;
+    std::thread accept_side(
+        [&] { established = endpoint->Establish(peers); });
+    const int fd = RawPeerHandshake(endpoint->listen_port());
+    accept_side.join();
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(established.ok()) << established.ToString();
+    EXPECT_EQ(endpoint->peer_status(1), PeerStatus::kAlive);
+
+    ASSERT_EQ(send(fd, c.bytes.data(), c.bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(c.bytes.size()));
+    EXPECT_TRUE(StatusWithin(endpoint, 1, PeerStatus::kDead));
+    EXPECT_TRUE(ClosedWithin(fd));
+    EXPECT_EQ(endpoint->Send(1, Payload(0, 0)).code(),
+              StatusCode::kUnavailable);
+    std::vector<uint8_t> frame;
+    int src = -1;
+    EXPECT_FALSE(endpoint->TryReceive(&frame, &src));
+    close(fd);
+    EXPECT_TRUE(endpoint->Close().ok());
+  }
 }
 
 TEST(LoopbackTransportTest, HeartbeatDetectsASilentPeer) {

@@ -193,6 +193,12 @@ TEST(WireFormatTest, HelloRejectsBadMagicLengthAndRank) {
   std::vector<uint8_t> bad_magic = buf;
   bad_magic[2] ^= 0xFF;
   EXPECT_FALSE(DecodeHello(bad_magic.data(), bad_magic.size()).ok());
+  // The magic names the framing that follows the hello ("NOM2": LEB128
+  // length prefixes), so a peer on the old u32 framing ("NOM1") is refused.
+  EXPECT_EQ(std::string(buf.begin() + 1, buf.begin() + 5), "NOM2");
+  std::vector<uint8_t> old_framing = buf;
+  old_framing[4] = '1';
+  EXPECT_FALSE(DecodeHello(old_framing.data(), old_framing.size()).ok());
   HelloFrame bad_rank;
   bad_rank.rank = 5;
   bad_rank.world = 2;
