@@ -1,5 +1,7 @@
 #include "net/codec.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "util/logging.h"
@@ -17,6 +19,10 @@ constexpr size_t kBatchHeaderBytes = 4;
 // changed entries in wire precision.
 constexpr size_t kDeltaPrefixBytes = 4 + 2;
 
+// A delta-cache slot: [present u8][hop version u32], then the row's k
+// wire-precision entries.
+constexpr size_t kSlotHeaderBytes = 1 + 4;
+
 template <typename T>
 void Append(std::vector<uint8_t>* out, T value) {
   const size_t at = out->size();
@@ -31,17 +37,21 @@ T ReadAt(const uint8_t* data, size_t offset) {
   return value;
 }
 
-// Writes the 16-byte factor-row header (same layout as EncodeFactorRow,
-// but allowed to tag wire-only precisions and the delta flag).
-void AppendFactorHeader(std::vector<uint8_t>* out, uint8_t type,
-                        WirePrecision precision, int k, int32_t id,
-                        uint32_t version, uint32_t flags) {
-  Append<uint8_t>(out, type);
-  Append<uint8_t>(out, static_cast<uint8_t>(precision));
-  Append<uint16_t>(out, static_cast<uint16_t>(k));
-  Append<int32_t>(out, id);
-  Append<uint32_t>(out, version);
-  Append<uint32_t>(out, flags);
+template <typename T>
+void WriteAt(uint8_t* data, size_t offset, T value) {
+  std::memcpy(data + offset, &value, sizeof(T));
+}
+
+// Whether two `w`-byte wire entries differ (w is 2, 4 or 8).
+bool EntryDiffers(const uint8_t* a, const uint8_t* b, size_t w) {
+  switch (w) {
+    case 2:
+      return ReadAt<uint16_t>(a, 0) != ReadAt<uint16_t>(b, 0);
+    case 4:
+      return ReadAt<uint32_t>(a, 0) != ReadAt<uint32_t>(b, 0);
+    default:
+      return ReadAt<uint64_t>(a, 0) != ReadAt<uint64_t>(b, 0);
+  }
 }
 
 bool IsLeaseSyncControl(const std::vector<uint8_t>& frame) {
@@ -329,117 +339,109 @@ PeerStatus CodecTransport::peer_status(int peer) const {
   return base_->peer_status(peer);
 }
 
-std::vector<uint8_t> CodecTransport::EncodeFactorForWire(
-    PeerTx* tx, const std::vector<uint8_t>& frame, int32_t* cache_id,
-    RowCache* cache_update) {
-  *cache_id = -1;
-  if (frame.size() < kFactorRowHeaderBytes) return frame;
-  const uint8_t type = frame[0];
-  const int k = ReadAt<uint16_t>(frame.data(), 2);
-  const int32_t id = ReadAt<int32_t>(frame.data(), 4);
-  const uint32_t version = ReadAt<uint32_t>(frame.data(), 8);
-  const uint32_t flags = ReadAt<uint32_t>(frame.data(), 12);
+uint8_t* CodecTransport::Slot(RowCache* cache, int32_t id,
+                              size_t row_bytes) const {
+  if (options_.columns > 0 && id >= options_.columns) return nullptr;
+  if (cache->row_bytes == 0) cache->row_bytes = row_bytes;
+  if (cache->row_bytes != row_bytes) return nullptr;
+  const size_t slot_bytes = kSlotHeaderBytes + row_bytes;
+  const size_t at = static_cast<size_t>(id) * slot_bytes;
+  if (at >= cache->slots.size()) {
+    cache->slots.resize(std::max(
+        {static_cast<size_t>(options_.columns) * slot_bytes, at + slot_bytes,
+         2 * cache->slots.size()}));
+  }
+  return cache->slots.data() + at;
+}
+
+uint8_t* CodecTransport::EncodeFactorForWire(PeerTx* tx,
+                                             std::vector<uint8_t>* frame) {
+  if (frame->size() < kFactorRowHeaderBytes) return nullptr;
+  uint8_t* const f = frame->data();
+  const int k = ReadAt<uint16_t>(f, 2);
+  const int32_t id = ReadAt<int32_t>(f, 4);
+  const uint32_t flags = ReadAt<uint32_t>(f, 12);
   const size_t expected =
       kFactorRowHeaderBytes + static_cast<size_t>(k) * native_entry_bytes_;
-  if (k < 1 || k > kMaxWireK || id < 0 || frame.size() != expected ||
-      frame[1] != static_cast<uint8_t>(options_.native)) {
+  if (k < 1 || k > kMaxWireK || id < 0 || frame->size() != expected ||
+      f[1] != static_cast<uint8_t>(options_.native)) {
     // Not a frame this solver's encoder produced; leave it alone and let
     // the receiving end report the protocol violation.
-    return frame;
+    return nullptr;
   }
 
-  // Stage 1: quantize the payload entries into wire precision.
-  std::vector<uint8_t> entries;
+  // Stage 1: quantize the payload entries into wire precision, inside the
+  // slot image the cache takes once the bytes are committed.
+  const size_t w = wire_entry_bytes_;
+  const size_t row_bytes = static_cast<size_t>(k) * w;
+  tx->scratch.resize(kSlotHeaderBytes + row_bytes);
+  tx->scratch[0] = 1;
+  std::memcpy(tx->scratch.data() + 1, f + 8, 4);  // the hop version
+  uint8_t* const entries = tx->scratch.data() + kSlotHeaderBytes;
+  uint8_t* const payload = f + kFactorRowHeaderBytes;
   if (options_.spec.quantizes()) {
-    entries.resize(static_cast<size_t>(k) * wire_entry_bytes_);
-    const uint8_t* payload = frame.data() + kFactorRowHeaderBytes;
+    // Locals, not members: the byte writes below may alias any member.
+    const bool f32 = options_.native == WirePrecision::kF32;
+    const bool bf16 = options_.spec.bf16;
     for (int i = 0; i < k; ++i) {
-      float value;
-      if (options_.native == WirePrecision::kF32) {
-        value = ReadAt<float>(payload, static_cast<size_t>(i) * 4);
-      } else {
-        value = static_cast<float>(
-            ReadAt<double>(payload, static_cast<size_t>(i) * 8));
-      }
-      const uint16_t q =
-          options_.spec.bf16 ? Bf16FromF32(value) : F16FromF32(value);
-      std::memcpy(entries.data() + static_cast<size_t>(i) * 2, &q, 2);
+      const float value =
+          f32 ? ReadAt<float>(payload, static_cast<size_t>(i) * 4)
+              : static_cast<float>(
+                    ReadAt<double>(payload, static_cast<size_t>(i) * 8));
+      WriteAt<uint16_t>(entries, static_cast<size_t>(i) * 2,
+                        bf16 ? Bf16FromF32(value) : F16FromF32(value));
     }
   } else {
-    entries.assign(frame.begin() + kFactorRowHeaderBytes, frame.end());
+    std::memcpy(entries, payload, row_bytes);
   }
-  const WirePrecision wire = options_.spec.WireOf(options_.native);
+  f[1] = static_cast<uint8_t>(options_.spec.WireOf(options_.native));
+  uint8_t* const slot =
+      options_.spec.delta ? Slot(&tx->cache, id, row_bytes) : nullptr;
 
   // Stage 2: delta against the receiver's last-seen copy of this row.
   // Flagged frames (regrants) always go full — their semantics must not
   // depend on any cache the receiver may have lost.
   if (options_.spec.delta && flags == 0) {
-    const auto it = tx->cache.find(id);
-    if (it != tx->cache.end() &&
-        it->second.entries.size() == entries.size()) {
+    if (slot != nullptr && slot[0] != 0) {
+      const auto differs = [&](int i) {
+        const size_t at = static_cast<size_t>(i) * w;
+        return EntryDiffers(entries + at, slot + kSlotHeaderBytes + at, w);
+      };
       const size_t mask_bytes = static_cast<size_t>(k + 7) / 8;
-      int changed = 0;
-      for (int i = 0; i < k; ++i) {
-        if (std::memcmp(entries.data() + static_cast<size_t>(i) *
-                                             wire_entry_bytes_,
-                        it->second.entries.data() +
-                            static_cast<size_t>(i) * wire_entry_bytes_,
-                        wire_entry_bytes_) != 0) {
-          ++changed;
-        }
+      const size_t fixed =
+          kFactorRowHeaderBytes + kDeltaPrefixBytes + mask_bytes;
+      const size_t full_size = kFactorRowHeaderBytes + row_bytes;
+      size_t delta_size = fixed;
+      for (int i = 0; i < k && delta_size < full_size; ++i) {
+        if (differs(i)) delta_size += w;
       }
-      const size_t delta_size =
-          kFactorRowHeaderBytes + kDeltaPrefixBytes + mask_bytes +
-          static_cast<size_t>(changed) * wire_entry_bytes_;
-      const size_t full_size =
-          kFactorRowHeaderBytes + static_cast<size_t>(k) * wire_entry_bytes_;
       if (delta_size < full_size) {
-        std::vector<uint8_t> out;
-        out.reserve(delta_size);
-        AppendFactorHeader(&out, type, wire, k, id, version,
-                           flags | kFactorRowFlagDelta);
-        Append<uint32_t>(&out, it->second.version);
-        Append<uint16_t>(&out, static_cast<uint16_t>(changed));
-        const size_t mask_at = out.size();
-        out.resize(mask_at + mask_bytes, 0);
+        // Shorter than the native row, so it overwrites the frame's payload.
+        WriteAt<uint32_t>(f, 12, kFactorRowFlagDelta);
+        WriteAt<uint32_t>(f, kFactorRowHeaderBytes, ReadAt<uint32_t>(slot, 1));
+        WriteAt<uint16_t>(f, kFactorRowHeaderBytes + 4,
+                          static_cast<uint16_t>((delta_size - fixed) / w));
+        uint8_t* const mask = payload + kDeltaPrefixBytes;
+        std::memset(mask, 0, mask_bytes);
+        uint8_t* out = mask + mask_bytes;
         for (int i = 0; i < k; ++i) {
-          if (std::memcmp(entries.data() + static_cast<size_t>(i) *
-                                               wire_entry_bytes_,
-                          it->second.entries.data() +
-                              static_cast<size_t>(i) * wire_entry_bytes_,
-                          wire_entry_bytes_) != 0) {
-            out[mask_at + static_cast<size_t>(i) / 8] |=
-                static_cast<uint8_t>(1u << (i % 8));
-            const size_t at = out.size();
-            out.resize(at + wire_entry_bytes_);
-            std::memcpy(out.data() + at,
-                        entries.data() +
-                            static_cast<size_t>(i) * wire_entry_bytes_,
-                        wire_entry_bytes_);
-          }
+          if (!differs(i)) continue;
+          mask[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+          std::memcpy(out, entries + static_cast<size_t>(i) * w, w);
+          out += w;
         }
+        frame->resize(delta_size);
         delta_hits_.fetch_add(1, std::memory_order_relaxed);
         m_delta_hits_.Inc();
-        *cache_id = id;
-        cache_update->version = version;
-        cache_update->entries = std::move(entries);
-        return out;
+        return slot;
       }
     }
     delta_full_.fetch_add(1, std::memory_order_relaxed);
     m_delta_full_.Inc();
   }
-
-  std::vector<uint8_t> out;
-  out.reserve(kFactorRowHeaderBytes + entries.size());
-  AppendFactorHeader(&out, type, wire, k, id, version, flags);
-  out.insert(out.end(), entries.begin(), entries.end());
-  if (options_.spec.delta) {
-    *cache_id = id;
-    cache_update->version = version;
-    cache_update->entries = std::move(entries);
-  }
-  return out;
+  std::memcpy(payload, entries, row_bytes);
+  frame->resize(kFactorRowHeaderBytes + row_bytes);
+  return slot;
 }
 
 Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
@@ -452,11 +454,11 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
   PeerTx& tx = *tx_[static_cast<size_t>(dest)];
   std::lock_guard<std::mutex> lock(tx.mu);
 
-  int32_t cache_id = -1;
-  RowCache cache_update;
-  if (type == static_cast<uint8_t>(MsgType::kToken) ||
-      type == static_cast<uint8_t>(MsgType::kHRow)) {
-    frame = EncodeFactorForWire(&tx, frame, &cache_id, &cache_update);
+  uint8_t* slot = nullptr;  // takes tx.scratch once the bytes are committed
+  if ((type == static_cast<uint8_t>(MsgType::kToken) ||
+       type == static_cast<uint8_t>(MsgType::kHRow)) &&
+      (options_.spec.quantizes() || options_.spec.delta)) {
+    slot = EncodeFactorForWire(&tx, &frame);
   }
 
   if (options_.spec.batch && type == static_cast<uint8_t>(MsgType::kToken)) {
@@ -465,9 +467,7 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
     // the cache advances at buffering time, not at flush time.
     tx.buffered_bytes += frame.size();
     tx.buffer.push_back(std::move(frame));
-    if (cache_id >= 0) {
-      tx.cache[cache_id] = std::move(cache_update);
-    }
+    if (slot != nullptr) std::ranges::copy(tx.scratch, slot);
     raw_bytes_.fetch_add(static_cast<int64_t>(raw_size),
                          std::memory_order_relaxed);
     m_raw_bytes_.Inc(static_cast<int64_t>(raw_size));
@@ -499,11 +499,11 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
     coded_bytes_.fetch_add(static_cast<int64_t>(coded_size),
                            std::memory_order_relaxed);
     m_coded_bytes_.Inc(static_cast<int64_t>(coded_size));
-    if (cache_id >= 0) tx.cache[cache_id] = std::move(cache_update);
+    if (slot != nullptr) std::ranges::copy(tx.scratch, slot);
     // The recovery protocol's channel-flush marker: everything after it on
     // this channel decodes against a fresh cache on the receiving end, so
     // the sending end starts over too (full rows until re-warmed).
-    if (lease_sync) tx.cache.clear();
+    if (lease_sync) std::ranges::fill(tx.cache.slots, 0);
   }
   return sent;
 }
@@ -580,24 +580,23 @@ Status CodecTransport::FlushAll() {
 
 bool CodecTransport::DecodeFactorForSolver(int src,
                                            std::vector<uint8_t>* frame) {
-  const std::vector<uint8_t>& in = *frame;
+  std::vector<uint8_t>& in = *frame;
   if (in.size() < kFactorRowHeaderBytes) return true;  // solver reports it
-  const uint8_t type = in[0];
-  const uint8_t precision = in[1];
   const int k = ReadAt<uint16_t>(in.data(), 2);
   const int32_t id = ReadAt<int32_t>(in.data(), 4);
   const uint32_t version = ReadAt<uint32_t>(in.data(), 8);
   const uint32_t flags = ReadAt<uint32_t>(in.data(), 12);
   const WirePrecision wire = options_.spec.WireOf(options_.native);
   if (k < 1 || k > kMaxWireK || id < 0 ||
-      precision != static_cast<uint8_t>(wire) || src < 0 ||
+      in[1] != static_cast<uint8_t>(wire) ||
+      (flags & ~kFactorRowKnownFlags) != 0 || src < 0 ||
       static_cast<size_t>(src) >= rx_.size()) {
     return true;  // malformed — hand it to the solver's decoder to report
   }
-  PeerRx& rx = rx_[static_cast<size_t>(src)];
-  const size_t row_bytes = static_cast<size_t>(k) * wire_entry_bytes_;
-  std::vector<uint8_t> entries;
-  uint32_t out_flags = flags;
+  RowCache& cache = rx_[static_cast<size_t>(src)];
+  const size_t w = wire_entry_bytes_;
+  const size_t row_bytes = static_cast<size_t>(k) * w;
+  const uint8_t* entries = nullptr;  // null = the frame's own payload
 
   if ((flags & kFactorRowFlagDelta) != 0) {
     if (!options_.spec.delta) return true;  // solver rejects the flag
@@ -611,103 +610,98 @@ bool CodecTransport::DecodeFactorForSolver(int src,
         ReadAt<uint32_t>(in.data(), kFactorRowHeaderBytes);
     const uint16_t nchanged =
         ReadAt<uint16_t>(in.data(), kFactorRowHeaderBytes + 4);
-    if (nchanged > k ||
-        in.size() != fixed + static_cast<size_t>(nchanged) *
-                                 wire_entry_bytes_) {
+    if (nchanged > k || in.size() != fixed + nchanged * w) {
       NOMAD_LOG(kWarning) << "codec: malformed delta frame from rank " << src;
       return false;
     }
-    const auto it = rx.cache.find(id);
-    if (it == rx.cache.end() || it->second.version != base_version ||
-        it->second.entries.size() != row_bytes) {
+    // An id past the job's columns or another row width: no slot, so the
+    // solver gets the frame and rejects its flag.
+    uint8_t* const slot = Slot(&cache, id, row_bytes);
+    if (slot == nullptr) return true;
+    if (slot[0] == 0 || ReadAt<uint32_t>(slot, 1) != base_version) {
       // A replica re-ordered past the row's real traffic (only injected
       // duplicates/delays get here — see the class comment). The solver's
       // hop-version check would discard it too; drop it before it can
       // decode against the wrong baseline.
       return false;
     }
-    entries = it->second.entries;
-    const uint8_t* mask = in.data() + kFactorRowHeaderBytes + kDeltaPrefixBytes;
-    const uint8_t* changed = mask + mask_bytes;
-    size_t taken = 0;
-    for (int i = 0; i < k; ++i) {
-      if ((mask[i / 8] & (1u << (i % 8))) == 0) continue;
-      if (taken >= nchanged) {
-        NOMAD_LOG(kWarning) << "codec: delta mask/count mismatch from rank "
-                            << src;
-        return false;
-      }
-      std::memcpy(entries.data() + static_cast<size_t>(i) * wire_entry_bytes_,
-                  changed + taken * wire_entry_bytes_, wire_entry_bytes_);
-      ++taken;
-    }
+    // Mask byte b marks entries 8b..8b+7; bits past k are ignored.
+    const uint8_t* const mask =
+        in.data() + kFactorRowHeaderBytes + kDeltaPrefixBytes;
+    const auto marks = [mask, k](size_t b) {
+      const int bits = std::min(8, k - static_cast<int>(b) * 8);
+      return static_cast<unsigned>(mask[b]) & ((1u << bits) - 1u);
+    };
+    int taken = 0;
+    for (size_t b = 0; b < mask_bytes; ++b) taken += std::popcount(marks(b));
     if (taken != nchanged) {
       NOMAD_LOG(kWarning) << "codec: delta mask/count mismatch from rank "
                           << src;
       return false;
     }
-    out_flags = flags & ~kFactorRowFlagDelta;
-    rx.cache[id] = RowCache{version, entries};
+    const uint8_t* changed = mask + mask_bytes;
+    for (size_t b = 0; b < mask_bytes; ++b) {
+      for (unsigned m = marks(b); m != 0; m &= m - 1) {
+        const size_t i = b * 8 + static_cast<size_t>(std::countr_zero(m));
+        std::memcpy(slot + kSlotHeaderBytes + i * w, changed, w);
+        changed += w;
+      }
+    }
+    WriteAt<uint32_t>(slot, 1, version);
+    WriteAt<uint32_t>(in.data(), 12, flags & ~kFactorRowFlagDelta);
+    entries = slot + kSlotHeaderBytes;
   } else {
     if (in.size() != kFactorRowHeaderBytes + row_bytes) return true;
-    entries.assign(in.begin() + kFactorRowHeaderBytes, in.end());
-    if (options_.spec.delta) {
-      // Monotone update: a delayed replica of an older full row must not
-      // roll the baseline back under the sender's feet.
-      const auto it = rx.cache.find(id);
-      if (it == rx.cache.end() || version >= it->second.version) {
-        rx.cache[id] = RowCache{version, entries};
-      }
+    // Monotone update: a delayed replica of an older full row must not
+    // roll the baseline back under the sender's feet.
+    uint8_t* const slot =
+        options_.spec.delta ? Slot(&cache, id, row_bytes) : nullptr;
+    if (slot != nullptr &&
+        (slot[0] == 0 || version >= ReadAt<uint32_t>(slot, 1))) {
+      slot[0] = 1;
+      WriteAt<uint32_t>(slot, 1, version);
+      std::memcpy(slot + kSlotHeaderBytes, in.data() + kFactorRowHeaderBytes,
+                  row_bytes);
     }
     if (!options_.spec.quantizes()) return true;  // native full row, as-is
   }
 
-  // Rebuild the solver-native frame from the wire entries.
-  std::vector<uint8_t> out;
-  const MsgType msg_type = static_cast<MsgType>(type);
-  if (options_.spec.quantizes()) {
-    const auto expand = [this](const uint8_t* at) {
-      uint16_t q;
-      std::memcpy(&q, at, 2);
-      return options_.spec.bf16 ? F32FromBf16(q) : F32FromF16(q);
-    };
-    if (options_.native == WirePrecision::kF32) {
-      std::vector<float> values(static_cast<size_t>(k));
-      for (int i = 0; i < k; ++i) {
-        values[static_cast<size_t>(i)] =
-            expand(entries.data() + static_cast<size_t>(i) * 2);
-      }
-      EncodeFactorRow<float>(msg_type, id, version, values.data(), k, &out,
-                             out_flags);
-    } else {
-      std::vector<double> values(static_cast<size_t>(k));
-      for (int i = 0; i < k; ++i) {
-        values[static_cast<size_t>(i)] = static_cast<double>(
-            expand(entries.data() + static_cast<size_t>(i) * 2));
-      }
-      EncodeFactorRow<double>(msg_type, id, version, values.data(), k, &out,
-                              out_flags);
-    }
-  } else {
-    // Delta-only spec: the entries are already native bytes.
-    out.reserve(kFactorRowHeaderBytes + entries.size());
-    AppendFactorHeader(&out, type, options_.native, k, id, version, out_flags);
-    out.insert(out.end(), entries.begin(), entries.end());
+  // Restore the solver-native row in place.
+  in.resize(kFactorRowHeaderBytes +
+            static_cast<size_t>(k) * native_entry_bytes_);
+  in[1] = static_cast<uint8_t>(options_.native);
+  uint8_t* const out = in.data() + kFactorRowHeaderBytes;
+  if (entries == nullptr) entries = out;
+  if (!options_.spec.quantizes()) {
+    std::memcpy(out, entries, row_bytes);  // delta-only: native entries
+    return true;
   }
-  *frame = std::move(out);
+  // Back to front: each wide entry lands past the narrow ones still unread.
+  const bool f32 = options_.native == WirePrecision::kF32;
+  const bool bf16 = options_.spec.bf16;
+  for (int i = k - 1; i >= 0; --i) {
+    const uint16_t q = ReadAt<uint16_t>(entries, static_cast<size_t>(i) * 2);
+    const float value = bf16 ? F32FromBf16(q) : F32FromF16(q);
+    if (f32) {
+      WriteAt<float>(out, static_cast<size_t>(i) * 4, value);
+    } else {
+      WriteAt<double>(out, static_cast<size_t>(i) * 8,
+                      static_cast<double>(value));
+    }
+  }
   return true;
 }
 
 bool CodecTransport::TryReceive(std::vector<uint8_t>* frame, int* src) {
   if (!options_.spec.enabled()) return base_->TryReceive(frame, src);
+  std::vector<uint8_t>& raw = *frame;
   for (;;) {
-    std::vector<uint8_t> raw;
     int from = -1;
     if (!unbatched_.empty()) {
       from = unbatched_.front().first;
       raw = std::move(unbatched_.front().second);
       unbatched_.pop_front();
-    } else if (!base_->TryReceive(&raw, &from)) {
+    } else if (!base_->TryReceive(frame, &from)) {
       return false;
     }
     if (raw.empty()) continue;
@@ -725,7 +719,7 @@ bool CodecTransport::TryReceive(std::vector<uint8_t>* frame, int* src) {
     if ((type == static_cast<uint8_t>(MsgType::kToken) ||
          type == static_cast<uint8_t>(MsgType::kHRow)) &&
         (options_.spec.quantizes() || options_.spec.delta)) {
-      if (!DecodeFactorForSolver(from, &raw)) {
+      if (!DecodeFactorForSolver(from, frame)) {
         stale_rejects_.fetch_add(1, std::memory_order_relaxed);
         m_stale_rejects_.Inc();
         continue;
@@ -735,9 +729,8 @@ bool CodecTransport::TryReceive(std::vector<uint8_t>* frame, int* src) {
         static_cast<size_t>(from) < rx_.size()) {
       // Channel-flush marker: discard this channel's delta baselines, in
       // the same stream position where the sender discarded its own.
-      rx_[static_cast<size_t>(from)].cache.clear();
+      std::ranges::fill(rx_[static_cast<size_t>(from)].slots, 0);
     }
-    *frame = std::move(raw);
     *src = from;
     return true;
   }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -121,6 +120,11 @@ struct CodecOptions {
   /// send side and what the receive side restores frames to.
   WirePrecision native = WirePrecision::kF64;
 
+  /// Item columns of the job: the delta caches hold one slot per column,
+  /// and a received row whose id is at or past this count bypasses them on
+  /// its way to the solver's shape check. 0 = grow the caches on demand.
+  int32_t columns = 0;
+
   /// Ceiling on any single transport payload this codec emits. Must not
   /// exceed the transport's own limit (TcpOptions::max_frame_bytes) —
   /// coalesced flushes larger than this split into multiple frames.
@@ -149,10 +153,12 @@ struct CodecOptions {
 ///    until the next threshold crossing or FlushAll() — the solver's
 ///    driver flushes every pump step, bounding the latency, and a flush
 ///    that fails (peer unavailable) keeps the frames buffered for retry.
-///  - Delta caches are invalidated by the recovery protocol's kLeaseSync
-///    channel markers on both ends of each channel (same FIFO position),
-///    so post-recovery rows always go full — regrants never decode
-///    against pre-death state.
+///  - Delta caches are flat per-column slots on each end of each channel,
+///    allocated on the channel's first row: cols × (k × wire bytes + 5)
+///    bytes per channel end (1.4 MB for 20k columns at k=32 in bf16).
+///    The recovery protocol's kLeaseSync channel markers empty them on
+///    both ends (same FIFO position), so post-recovery rows always go
+///    full — regrants never decode against pre-death state.
 ///  - A delta frame whose base version misses the receiver cache is
 ///    dropped (counted in stale_rejects). Per-channel FIFO plus exclusive
 ///    token ownership guarantee this only happens to injected duplicate or
@@ -206,34 +212,33 @@ class CodecTransport final : public Transport {
   CodecStats codec_stats() const;
 
  private:
-  /// Last row seen per (peer, column) on one directed channel: the hop
-  /// version and the wire-precision entry bytes deltas are taken against.
+  /// The delta baselines of one directed channel: one flat slot per
+  /// column, indexed by column id, holding a present flag, the hop version
+  /// of the last row that crossed and its k wire-precision entries. Rows of
+  /// a width other than the first cached row's bypass the cache.
   struct RowCache {
-    uint32_t version = 0;
-    std::vector<uint8_t> entries;
+    size_t row_bytes = 0;        // k × wire entry bytes (0 = unused)
+    std::vector<uint8_t> slots;  // column j at j × (5 + row_bytes)
   };
 
   /// Per-destination sender state (mutex-guarded: workers send
   /// concurrently).
   struct PeerTx {
     std::mutex mu;
-    std::map<int32_t, RowCache> cache;          // delta baseline per column
-    std::deque<std::vector<uint8_t>> buffer;    // coalescing buffer
+    RowCache cache;                           // delta baseline per column
+    std::vector<uint8_t> scratch;             // slot image of the row in flight
+    std::deque<std::vector<uint8_t>> buffer;  // coalescing buffer
     size_t buffered_bytes = 0;
   };
 
-  /// Per-source receiver state (driver thread only — no lock needed).
-  struct PeerRx {
-    std::map<int32_t, RowCache> cache;
-  };
+  /// The cache slot of column `id` for rows of `row_bytes`, grown on first
+  /// use; null when the row bypasses the cache.
+  uint8_t* Slot(RowCache* cache, int32_t id, size_t row_bytes) const;
 
-  /// Quantize + delta stages for one outgoing factor row; returns the wire
-  /// frame and records the cache update to apply once the bytes are
-  /// committed (buffered or accepted by the base transport).
-  std::vector<uint8_t> EncodeFactorForWire(PeerTx* tx,
-                                           const std::vector<uint8_t>& frame,
-                                           int32_t* cache_id,
-                                           RowCache* cache_update);
+  /// Quantize + delta stages for one outgoing factor row, rewritten in
+  /// place. Returns the cache slot that takes tx->scratch once the bytes
+  /// are committed (buffered or accepted by the base transport), or null.
+  uint8_t* EncodeFactorForWire(PeerTx* tx, std::vector<uint8_t>* frame);
 
   /// Restores one received wire factor row to a native frame in place;
   /// false = stale delta replica, drop it.
@@ -249,7 +254,7 @@ class CodecTransport final : public Transport {
   const size_t wire_entry_bytes_;
 
   std::vector<std::unique_ptr<PeerTx>> tx_;  // index: destination rank
-  std::vector<PeerRx> rx_;                   // index: source rank
+  std::vector<RowCache> rx_;  // index: source rank (driver thread only)
   std::deque<std::pair<int, std::vector<uint8_t>>> unbatched_;
 
   std::atomic<int64_t> raw_bytes_{0};

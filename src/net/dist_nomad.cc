@@ -519,7 +519,7 @@ class RankRun {
       // is advisory here.
       (void)codec_->FlushAll();
     }
-    std::vector<uint8_t> frame;
+    std::vector<uint8_t>& frame = rx_frame_;
     int src = -1;
     while (transport_->TryReceive(&frame, &src)) {
       if (src >= 0 && src < world_) {
@@ -1651,6 +1651,7 @@ class RankRun {
   std::vector<std::atomic<uint32_t>> version_;
   std::vector<std::atomic<int>> owner_;
   std::deque<ControlFrame> ctrl_q_;
+  std::vector<uint8_t> rx_frame_;  // pump receive buffer, kept across rounds
   std::vector<int32_t> held_;
   std::vector<int64_t> hrow_received_;
   std::vector<int64_t> wrow_received_;
@@ -1764,6 +1765,7 @@ Result<TrainResult> TrainImpl(const Dataset& ds,
     CodecOptions copts;
     copts.spec = options.wire_codec;
     copts.native = WirePrecisionOf<Real>();
+    copts.columns = ds.cols;
     obs::MetricsRegistry* registry = obs::ResolveRegistry(options.train.metrics);
     copts.registry = registry->enabled() ? registry : nullptr;
     copts.metrics_rank = transport->rank();

@@ -3,14 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <limits>
+#include <map>
+#include <random>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "net/loopback_transport.h"
 #include "net/tcp_transport.h"
 #include "net/wire_format.h"
+#include "util/logging.h"
 
 namespace nomad {
 namespace net {
@@ -520,6 +527,352 @@ TEST(CodecTransportTest, BatchedTokensUnwrapInOrderAtTheReceiver) {
   ASSERT_TRUE(pair.rx->TryReceive(&got, &src));
   EXPECT_EQ(got[0], static_cast<uint8_t>(MsgType::kControl));
   EXPECT_FALSE(pair.rx->TryReceive(&got, &src));
+}
+
+// ---- seeded streams: byte identity and a mutation search ----
+
+// A Transport that records what is sent and hands out a scripted inbox on
+// receive, so one CodecTransport can play every peer's end of a channel.
+class ScriptTransport final : public Transport {
+ public:
+  explicit ScriptTransport(int world) : world_(world) {}
+  int rank() const override { return 0; }
+  int world() const override { return world_; }
+  Status Send(int dest, std::vector<uint8_t> frame) override {
+    sent.emplace_back(dest, std::move(frame));
+    return Status::OK();
+  }
+  bool TryReceive(std::vector<uint8_t>* frame, int* src) override {
+    if (inbox.empty()) return false;
+    *src = inbox.front().first;
+    frame->assign(inbox.front().second.begin(), inbox.front().second.end());
+    inbox.pop_front();
+    return true;
+  }
+  TransportStats stats() const override { return {}; }
+  Status Close() override { return Status::OK(); }
+
+  std::vector<std::pair<int, std::vector<uint8_t>>> sent;
+  std::deque<std::pair<int, std::vector<uint8_t>>> inbox;
+
+ private:
+  const int world_;
+};
+
+// FNV-1a over framed (peer, length, bytes) records.
+void Digest(uint64_t* h, int peer, const std::vector<uint8_t>& frame) {
+  const auto add = [h](uint8_t byte) {
+    *h ^= byte;
+    *h *= 1099511628211ULL;
+  };
+  add(static_cast<uint8_t>(peer));
+  for (int shift = 0; shift < 32; shift += 8) {
+    add(static_cast<uint8_t>(frame.size() >> shift));
+  }
+  for (const uint8_t byte : frame) add(byte);
+}
+
+struct StreamResult {
+  uint64_t wire = 1469598103934665603ULL;
+  uint64_t decoded = 1469598103934665603ULL;
+  int frames = 0;             // frames the receiver surfaced
+  int64_t stale_rejects = 0;  // frames the receiver dropped
+};
+
+bool IsDelta(const std::vector<uint8_t>& frame) {
+  uint32_t flags = 0;
+  if (frame.size() >= kFactorRowHeaderBytes) {
+    std::memcpy(&flags, frame.data() + 12, sizeof(flags));
+  }
+  return (flags & kFactorRowFlagDelta) != 0;
+}
+
+// What the solver sees of native value `v` after the codec's round trip.
+template <typename Real>
+Real Restored(const WireCodecSpec& spec, Real v) {
+  const float f = static_cast<float>(v);
+  if (spec.bf16) return static_cast<Real>(F32FromBf16(Bf16FromF32(f)));
+  if (spec.f16) return static_cast<Real>(F32FromF16(F16FromF32(f)));
+  return v;
+}
+
+// 3 peers × 50 columns × 6 hops per column through one sender and one
+// receiver. Hops change no entry, one, half or all of them; the stream also
+// carries a kLeaseSync marker followed by a regrant-flagged token, and the
+// receiver is fed a delayed older full-row replica and a duplicated
+// replica of the first delta frame (or, without delta, of the first
+// frame) of hop 2.
+template <typename Real>
+StreamResult RunSeededStream(const WireCodecSpec& spec, int k) {
+  constexpr int kPeers = 3;
+  constexpr int kCols = 50;
+  constexpr int kHops = 6;
+  CodecOptions opts;
+  opts.spec = spec;
+  opts.native = WirePrecisionOf<Real>();
+  ScriptTransport tx_base(kPeers + 1);
+  ScriptTransport rx_base(kPeers + 1);
+  CodecTransport tx(&tx_base, opts);
+  CodecTransport rx(&rx_base, opts);
+
+  // Uniform in [-2, 2) straight from the engine's output, which the
+  // standard fixes (the <random> distributions vary by library).
+  std::mt19937_64 rng(1000 + static_cast<uint64_t>(k));
+  const auto draw = [&rng] {
+    return static_cast<Real>(static_cast<double>(rng() >> 11) * 0x1.0p-51 -
+                             2.0);
+  };
+  std::vector<std::vector<Real>> rows(kPeers * kCols);
+  for (auto& row : rows) {
+    row.resize(static_cast<size_t>(k));
+    for (Real& v : row) v = draw();
+  }
+  std::vector<uint32_t> version(kPeers * kCols, 0);
+  // Native rows by (peer, column, version), to check every decoded value.
+  std::map<std::tuple<int, int32_t, uint32_t>, std::vector<Real>> sent_rows;
+
+  StreamResult result;
+  std::vector<uint8_t> got;
+  const auto deliver = [&](int peer, const std::vector<uint8_t>& wire) {
+    rx_base.inbox.emplace_back(peer + 1, wire);
+    int src = -1;
+    while (rx.TryReceive(&got, &src)) {
+      Digest(&result.decoded, src, got);
+      ++result.frames;
+      if (got[0] == static_cast<uint8_t>(MsgType::kControl)) continue;
+      auto view = DecodeFactorRow<Real>(got.data(), got.size());
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      const auto it =
+          sent_rows.find({src - 1, view.value().id, view.value().version});
+      ASSERT_NE(it, sent_rows.end());
+      for (int i = 0; i < k; ++i) {
+        ASSERT_EQ(view.value().values[i],
+                  Restored(spec, it->second[static_cast<size_t>(i)]))
+            << "entry " << i;
+      }
+    }
+  };
+  std::vector<uint8_t> wire;  // the last frame the sender put on the wire
+  const auto send = [&](int peer, const std::vector<uint8_t>& frame) {
+    ASSERT_TRUE(tx.Send(peer + 1, frame).ok());
+    ASSERT_EQ(tx_base.sent.size(), size_t{1});
+    wire = std::move(tx_base.sent.back().second);
+    tx_base.sent.clear();
+    Digest(&result.wire, peer + 1, wire);
+    deliver(peer, wire);
+  };
+
+  std::vector<uint8_t> delayed;  // hop 0 of (peer 0, column 3)
+  bool duplicated = false;
+  bool regranted = false;
+  std::vector<uint8_t> frame;
+  for (int hop = 0; hop < kHops; ++hop) {
+    if (hop == 3) {
+      ControlFrame marker;
+      marker.kind = ControlKind::kLeaseSync;
+      marker.rank = 0;
+      EncodeControl(marker, &frame);
+      send(1, frame);
+    }
+    for (int n = 0; n < kPeers * kCols; ++n) {
+      const int at = (n * 37 + hop * 11) % (kPeers * kCols);
+      const int peer = at / kCols;
+      const int32_t col = at % kCols;
+      std::vector<Real>& row = rows[static_cast<size_t>(at)];
+      if (hop > 0) {
+        const int mode = static_cast<int>(rng() % 4);
+        const int changes = mode == 3 ? k : mode == 2 ? k / 2 : mode;
+        const int start = static_cast<int>(rng() % static_cast<uint64_t>(k));
+        for (int c = 0; c < changes; ++c) {
+          row[static_cast<size_t>((start + c) % k)] = draw();
+        }
+      }
+      const uint32_t v = ++version[static_cast<size_t>(at)];
+      // The first hop to peer 1 after its marker is a regrant.
+      const bool regrant = hop == 3 && peer == 1 && !regranted;
+      regranted = regranted || regrant;
+      const MsgType type = rng() % 8 == 0 ? MsgType::kHRow : MsgType::kToken;
+      EncodeFactorRow<Real>(regrant ? MsgType::kToken : type, col, v,
+                            row.data(), k, &frame,
+                            regrant ? kFactorRowFlagRegrant : 0u);
+      sent_rows[{peer, col, v}] = row;
+      send(peer, frame);
+      if (hop == 0 && at == 3) delayed = wire;
+      if (hop == 2 && !duplicated && (IsDelta(wire) || !spec.delta)) {
+        deliver(peer, wire);
+        duplicated = true;
+      }
+    }
+    if (hop == 2) deliver(0, delayed);
+  }
+  result.stale_rejects = rx.codec_stats().stale_rejects;
+  return result;
+}
+
+struct StreamCase {
+  const char* spec;
+  bool f32;  // native precision: f32 (else f64)
+  int k;
+  uint64_t wire;     // digest of every frame put on the wire
+  uint64_t decoded;  // digest of every frame the receiver surfaced
+  int frames;
+};
+
+// A digest that moves means the codec changed the bytes on the wire or the
+// frames the solver sees; the test prints the row it measured.
+constexpr StreamCase kStreamCases[] = {
+    {"bf16", false, 8, 0xca633dfcefe268fb, 0xe0e789fca78d34e3, 903},
+    {"bf16", false, 32, 0xf04515da68576e04, 0xe8286ab58d59742c, 903},
+    {"bf16", false, 129, 0xe70b929787be4794, 0xf20b91d055084ade, 903},
+    {"bf16", true, 8, 0xca633dfcefe268fb, 0x759e774f2613917a, 903},
+    {"bf16", true, 32, 0xf04515da68576e04, 0x23c0857a7492fb41, 903},
+    {"bf16", true, 129, 0xe70b929787be4794, 0xdbe646f13d4a9759, 903},
+    {"f16", false, 8, 0x0baedd03bb7efa00, 0x357eeb43b2334621, 903},
+    {"f16", false, 32, 0x54deacaeada19e1b, 0x8316b35eb0001c67, 903},
+    {"f16", false, 129, 0x897286cafbff40cd, 0x1393b0f47224e25d, 903},
+    {"f16", true, 8, 0x0baedd03bb7efa00, 0x472d2397e13f49dc, 903},
+    {"f16", true, 32, 0x54deacaeada19e1b, 0xad2953a0fd75a641, 903},
+    {"f16", true, 129, 0x897286cafbff40cd, 0xfb0c60987d39c3fc, 903},
+    {"delta", false, 8, 0xebffa75c7728fbbb, 0xdcee1b4fee804f44, 902},
+    {"delta", false, 32, 0xd31ef95bef1ab1cc, 0xf72fe79f55766add, 902},
+    {"delta", false, 129, 0x1d7187d0f055d039, 0x3cb852138f430353, 902},
+    {"delta", true, 8, 0x2d56e650ad1c2751, 0xa491e26059eacc6a, 902},
+    {"delta", true, 32, 0x85c764f367050a3c, 0x613e3072bcca43fd, 902},
+    {"delta", true, 129, 0xd27c0aea4f8b869a, 0x9b8c1b12c0c67684, 902},
+    {"bf16+delta", false, 8, 0xa70030daecfde8f7, 0x751c139a65eb806c, 902},
+    {"bf16+delta", false, 32, 0x1c3cfc98eb41a6af, 0xd4dbf633fe776d61, 902},
+    {"bf16+delta", false, 129, 0xff72ef8df190d3c9, 0x046046b887c0e652, 902},
+    {"bf16+delta", true, 8, 0xa70030daecfde8f7, 0xceab4d94b9e2a9a1, 902},
+    {"bf16+delta", true, 32, 0x1c3cfc98eb41a6af, 0xb6c7ec055deccd16, 902},
+    {"bf16+delta", true, 129, 0xff72ef8df190d3c9, 0x4938a36b3cdfbc7f, 902},
+    {"f16+delta", false, 8, 0xda7a2cc5c323a929, 0xccc5685b0de24114, 902},
+    {"f16+delta", false, 32, 0xebb7c40b63d8cb33, 0x208883e2e820931b, 902},
+    {"f16+delta", false, 129, 0x2ada3b5fee09861a, 0x445ec973600ce415, 902},
+    {"f16+delta", true, 8, 0xda7a2cc5c323a929, 0x1a28e04ed74013f4, 902},
+    {"f16+delta", true, 32, 0xebb7c40b63d8cb33, 0x9789b4deec98022f, 902},
+    {"f16+delta", true, 129, 0x2ada3b5fee09861a, 0xcb3925db9752f950, 902},
+};
+
+TEST(CodecTransportTest, SeededStreamBytesArePinned) {
+  for (const StreamCase& c : kStreamCases) {
+    SCOPED_TRACE(std::string(c.spec) + (c.f32 ? " f32" : " f64") +
+                 " k=" + std::to_string(c.k));
+    const WireCodecSpec spec = WireCodecSpec::Parse(c.spec).value();
+    const StreamResult r = c.f32 ? RunSeededStream<float>(spec, c.k)
+                                 : RunSeededStream<double>(spec, c.k);
+    EXPECT_EQ(r.stale_rejects, spec.delta ? 1 : 0);
+    EXPECT_EQ(r.frames, c.frames);
+    EXPECT_EQ(r.wire, c.wire);
+    EXPECT_EQ(r.decoded, c.decoded);
+    if (r.wire != c.wire || r.decoded != c.decoded || r.frames != c.frames) {
+      std::printf("    {\"%s\", %s, %d, 0x%016llx, 0x%016llx, %d},\n",
+                  c.spec, c.f32 ? "true" : "false", c.k,
+                  static_cast<unsigned long long>(r.wire),
+                  static_cast<unsigned long long>(r.decoded), r.frames);
+    }
+  }
+}
+
+// The k=8 bf16 frames of GoldenDeltaWireBytes: column 9's full row at
+// version 5, then the one-entry delta to version 6.
+const std::vector<uint8_t> kGoldenFull = {
+    2,    2,    8,    0,    9,    0,    0,    0,     // [kToken][kBf16][k][id]
+    5,    0,    0,    0,    0,    0,    0,    0,     // version, flags
+    0x80, 0x3F, 0x00, 0xC0, 0x00, 0x3F, 0x40, 0x40,  // 1.0 -2.0 0.5 3.0
+    0x80, 0x40, 0x00, 0xC1, 0x80, 0x3E, 0x80, 0x41};  // 4.0 -8.0 0.25 16.0
+const std::vector<uint8_t> kGoldenDelta = {
+    2, 2, 8, 0, 9, 0, 0, 0, 6, 0, 0, 0, 2, 0, 0, 0,  // delta flag
+    5, 0, 0, 0, 1, 0, 0x04, 0x80, 0x3E};             // entry 2 = 0.25
+
+TEST(CodecTransportTest, MutatedFramesAreDecodedDroppedOrLeftToTheSolver) {
+  // Seeded mutations of the golden frames through a fresh receiver whose
+  // channel already holds the golden full row. Each input must decode to
+  // a row the solver accepts, be dropped, or reach the solver in a shape
+  // it rejects; and the golden delta that follows must still decode.
+  const LogLevel log_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);  // each malformed delta logs a warning
+  constexpr int32_t kCols = 16;
+  CodecOptions opts;
+  opts.spec = WireCodecSpec::Parse("bf16+delta").value();
+  opts.columns = kCols;
+  const std::vector<double> v5 = {1.0, -2.0, 0.5, 3.0, 4.0, -8.0, 0.25, 16.0};
+  std::vector<double> v6 = v5;
+  v6[2] = 0.25;
+  std::mt19937_64 rng(17);
+  int dropped = 0;
+  int decoded = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    ScriptTransport base(2);
+    CodecTransport rx(&base, opts);
+    std::vector<uint8_t> got;
+    int src = -1;
+    const auto feed = [&](const std::vector<uint8_t>& frame) {
+      base.inbox.emplace_back(1, frame);
+      return rx.TryReceive(&got, &src);
+    };
+    const auto expect_row = [&](uint32_t version,
+                                const std::vector<double>& values) {
+      auto view = DecodeFactorRow<double>(got.data(), got.size());
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      EXPECT_EQ(view.value().id, 9);
+      EXPECT_EQ(view.value().version, version);
+      for (int i = 0; i < 8; ++i) {
+        EXPECT_EQ(view.value().values[i], values[static_cast<size_t>(i)]);
+      }
+    };
+    ASSERT_TRUE(feed(kGoldenFull));
+    expect_row(5, v5);
+
+    std::vector<uint8_t> input = rng() % 2 == 0 ? kGoldenFull : kGoldenDelta;
+    const int op = static_cast<int>(rng() % 5);
+    SCOPED_TRACE("iteration " + std::to_string(iter) + " op " +
+                 std::to_string(op));
+    if (op == 0) {  // flip 1-3 bits
+      for (int n = static_cast<int>(rng() % 3); n >= 0; --n) {
+        input[rng() % input.size()] ^= static_cast<uint8_t>(1u << (rng() % 8));
+      }
+    } else if (op == 1) {  // truncate
+      input.resize(rng() % input.size());
+    } else if (op == 2) {  // extend
+      for (int n = static_cast<int>(rng() % 8); n >= 0; --n) {
+        input.push_back(static_cast<uint8_t>(rng()));
+      }
+    } else {  // an id at or past the job's columns
+      const int32_t id = op == 3 ? kCols : std::numeric_limits<int32_t>::max();
+      std::memcpy(input.data() + 4, &id, sizeof(id));
+    }
+
+    bool moved_baseline = false;  // the input decoded as column 9's row
+    if (!feed(input)) {
+      ++dropped;
+      EXPECT_LT(op, 3) << "a row with an out-of-range id was dropped";
+    } else {
+      // What the solver's pump accepts: a token or h row of this job's
+      // shape. Anything else fails the job with InvalidArgument.
+      auto view = DecodeFactorRow<double>(got.data(), got.size());
+      if (view.ok() && got[0] != static_cast<uint8_t>(MsgType::kWRow) &&
+          view.value().k == 8 && view.value().id < kCols) {
+        ++decoded;
+        moved_baseline = view.value().id == 9;
+        EXPECT_LT(op, 3) << "a row with an out-of-range id decoded";
+      } else {
+        ++rejected;
+      }
+      EXPECT_FALSE(rx.TryReceive(&got, &src));  // one frame in, one out
+    }
+    if (feed(kGoldenDelta)) {
+      if (!moved_baseline) expect_row(6, v6);
+    } else {
+      EXPECT_TRUE(moved_baseline) << "the golden delta was dropped";
+    }
+    ASSERT_TRUE(feed(kGoldenFull));
+    expect_row(5, v5);
+  }
+  SetLogLevel(log_level);
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---- TCP integration: hello negotiation + the oversized-frame fix ----
