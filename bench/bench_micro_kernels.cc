@@ -11,8 +11,6 @@
 #include "linalg/dense_ops.h"
 #include "nomad/token_router.h"
 #include "queue/mpmc_queue.h"
-#include "queue/mpsc_queue.h"
-#include "queue/spsc_ring.h"
 #include "util/rng.h"
 
 namespace nomad {
@@ -78,26 +76,6 @@ void BM_MpmcQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MpmcQueuePushPop);
-
-void BM_MpscQueuePushPop(benchmark::State& state) {
-  MpscQueue<int32_t> q;
-  for (auto _ : state) {
-    q.Push(7);
-    benchmark::DoNotOptimize(q.TryPop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpscQueuePushPop);
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  SpscRing<int32_t> r(1024);
-  for (auto _ : state) {
-    r.TryPush(7);
-    benchmark::DoNotOptimize(r.TryPop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_TokenRouterPick(benchmark::State& state) {
   const bool least_loaded = state.range(0) != 0;

@@ -57,7 +57,8 @@ struct DistNomadOptions {
 /// path — and between ranks through a net::Transport carrying the token's
 /// h_j row on the wire.
 ///
-/// Each rank runs the familiar worker pool; a driver thread additionally
+/// Each rank runs the shared-memory solver's TokenWorkers pool
+/// (nomad/token_worker.h) with a remote hop; a driver thread additionally
 /// pumps the transport: inbound tokens are written into the local H and
 /// enqueued, and trace points are coordinated barriers (rank 0 collects
 /// held-token counts until every circulating token is accounted for, all

@@ -13,6 +13,9 @@ namespace nomad {
 /// updates over its locally-stored ratings Ω̄_j^{(q)} — touching only its
 /// own w_i rows and the h_j it exclusively owns while holding the token —
 /// then pushes the token to another worker chosen by the routing policy.
+/// The workers are the TokenWorkers pool (nomad/token_worker.h) with every
+/// token kept local — the same worker loop DistNomadSolver runs in each
+/// rank; this solver adds the driver that paces trace points and budgets.
 ///
 /// Properties (Sec. 1): non-blocking, decentralized, lock-free updates
 /// (queue hand-off aside), fully asynchronous, and serializable — every

@@ -10,9 +10,9 @@ namespace nomad {
 /// Cooperative pause barrier between a driver thread and a fixed set of
 /// worker threads: the driver quiesces all workers (trace points, the
 /// distributed barrier protocol), does its work, and resumes them.
-/// Training time excludes the pause. Shared by the shared-memory
-/// NomadSolver and the distributed DistNomadSolver — one implementation,
-/// so a fix to the pause protocol lands in both.
+/// Training time excludes the pause. Owned by TokenWorkers
+/// (nomad/token_worker.h), so NomadSolver and DistNomadSolver share one
+/// pause protocol.
 class PauseGate {
  public:
   /// A gate for `workers` worker threads (the driver is not counted).

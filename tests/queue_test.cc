@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "queue/mpmc_queue.h"
-#include "queue/mpsc_queue.h"
-#include "queue/spsc_ring.h"
 
 namespace nomad {
 namespace {
@@ -199,112 +197,6 @@ TEST(MpmcQueueBatchTest, BatchedSingleConsumerPreservesPerProducerFifo) {
   }
   for (auto& t : producers) t.join();
   for (int s : seen) EXPECT_EQ(s, 1);
-}
-
-// ---------- MpscQueue ----------
-
-TEST(MpscQueueTest, FifoSingleThread) {
-  MpscQueue<int> q;
-  EXPECT_TRUE(q.Empty());
-  q.Push(7);
-  q.Push(8);
-  EXPECT_EQ(q.TryPop().value(), 7);
-  EXPECT_EQ(q.TryPop().value(), 8);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(MpscQueueTest, SizeTracksApproximately) {
-  MpscQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  EXPECT_EQ(q.Size(), 10u);
-  q.TryPop();
-  EXPECT_EQ(q.Size(), 9u);
-}
-
-TEST(MpscQueueTest, StressMultiProducerSingleConsumer) {
-  MpscQueue<int> q;
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 10000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push(p * kPerProducer + i);
-    });
-  }
-  std::vector<int> seen(kProducers * kPerProducer, 0);
-  std::vector<int> last_from(kProducers, -1);
-  int total = 0;
-  while (total < kProducers * kPerProducer) {
-    auto v = q.TryPop();
-    if (!v.has_value()) {
-      std::this_thread::yield();
-      continue;
-    }
-    ++total;
-    seen[static_cast<size_t>(*v)]++;
-    // Per-producer FIFO: values from each producer ascend.
-    const int producer = *v / kPerProducer;
-    EXPECT_GT(*v, last_from[static_cast<size_t>(producer)]);
-    last_from[static_cast<size_t>(producer)] = *v;
-  }
-  for (auto& t : producers) t.join();
-  for (int s : seen) EXPECT_EQ(s, 1);
-  EXPECT_TRUE(q.Empty());
-}
-
-// ---------- SpscRing ----------
-
-TEST(SpscRingTest, CapacityRoundsUp) {
-  SpscRing<int> r(5);
-  EXPECT_GE(r.Capacity(), 5u);
-}
-
-TEST(SpscRingTest, FifoAndFullness) {
-  SpscRing<int> r(3);  // usable capacity >= 3
-  EXPECT_TRUE(r.Empty());
-  size_t pushed = 0;
-  while (r.TryPush(static_cast<int>(pushed))) ++pushed;
-  EXPECT_EQ(pushed, r.Capacity());
-  for (size_t i = 0; i < pushed; ++i) {
-    auto v = r.TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, static_cast<int>(i));
-  }
-  EXPECT_FALSE(r.TryPop().has_value());
-}
-
-TEST(SpscRingTest, StressProducerConsumer) {
-  SpscRing<int> r(64);
-  constexpr int kN = 200000;
-  std::thread producer([&r] {
-    for (int i = 0; i < kN;) {
-      if (r.TryPush(i)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  int expected = 0;
-  while (expected < kN) {
-    auto v = r.TryPop();
-    if (v.has_value()) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
-  EXPECT_TRUE(r.Empty());
-}
-
-TEST(SpscRingTest, SizeConsistent) {
-  SpscRing<int> r(8);
-  EXPECT_EQ(r.Size(), 0u);
-  r.TryPush(1);
-  r.TryPush(2);
-  EXPECT_EQ(r.Size(), 2u);
-  r.TryPop();
-  EXPECT_EQ(r.Size(), 1u);
 }
 
 }  // namespace

@@ -9,14 +9,16 @@
 //     interleaves updates *within* a token and never lets two workers touch
 //     one h_j concurrently.
 //
-//  2. The threaded NomadSolver carries an always-on owner-table CAS
-//     assertion (one owner per item token at any instant) — exercised here
-//     under maximum thread pressure. Ownership + worker-private w rows is
-//     exactly the paper's serializability argument.
+//  2. The one worker loop both threaded solvers run (nomad/token_worker.h)
+//     carries an always-on owner-table CAS assertion (one owner per item
+//     token at any instant) — exercised here under maximum thread
+//     pressure, shared-memory and distributed. Ownership + worker-private
+//     w rows is exactly the paper's serializability argument.
 
 #include <gtest/gtest.h>
 
 #include "data/shard.h"
+#include "net/dist_nomad.h"
 #include "nomad/nomad_solver.h"
 #include "sim/solvers/sim_nomad.h"
 #include "solver/sgd_kernel.h"
@@ -122,15 +124,23 @@ TEST(SerializabilityTest, SimNomadReplayBitExactUnderWorkerBatching) {
 }
 
 TEST(SerializabilityTest, OwnershipInvariantHoldsUnderThreadPressure) {
-  // The owner-table CAS inside NomadSolver aborts the process if two
+  // The owner-table CAS in the worker loop aborts the process if two
   // workers ever hold the same token. Run with many threads on few items to
-  // maximize contention; surviving the run is the assertion.
+  // maximize contention; surviving the run is the assertion. The 2-rank
+  // job adds remote hand-offs and the driver pushing received tokens in.
   const Dataset ds = MakeTestDataset(300, 12, 1500, 63);
   NomadSolver solver;
   TrainOptions options = FastTrainOptions(/*epochs=*/6, /*workers=*/8);
   auto result = solver.Train(ds, options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result.value().total_updates, 0);
+
+  net::DistNomadOptions dist;
+  dist.train = FastTrainOptions(/*epochs=*/6, /*workers=*/4);
+  for (auto& rank : net::TrainLoopbackWorld(ds, dist, /*world=*/2)) {
+    ASSERT_TRUE(rank.ok()) << rank.status().ToString();
+    EXPECT_GT(rank.value().total_updates, 0);
+  }
 }
 
 TEST(SerializabilityTest, StepCountsEqualProcessedRatings) {
