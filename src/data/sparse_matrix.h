@@ -48,6 +48,9 @@ class SparseMatrix {
   const float* RowVals(int32_t i) const {
     return csr_value_.data() + csr_ptr_[i];
   }
+  /// Global CSR position of the first entry of row i, for i in
+  /// [0, rows()]: rows [b, e) hold RowOffset(e) - RowOffset(b) ratings.
+  int64_t RowOffset(int32_t i) const { return csr_ptr_[i]; }
 
   // ---- CSC (column-major) access: Ω̄_j of the paper ----
   int32_t ColNnz(int32_t j) const {

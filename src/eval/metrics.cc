@@ -37,26 +37,26 @@ double ParallelSum(ThreadPool* pool, int64_t rows,
   return sum;
 }
 
-/// Like ParallelSum but cuts the row range so each shard carries ~equal
-/// *weight* (here: nnz), not equal row count — rating matrices have
+/// Like ParallelSum but over rows [first, last), cut so each shard carries
+/// ~equal *weight* (here: nnz), not equal row count — rating matrices have
 /// power-law row degrees, and an even row split would leave one thread
 /// with most of the work. Gates on total weight, so a short-but-dense
 /// matrix still parallelizes. Deterministic for a fixed pool size.
 double ParallelWeightedSum(
-    ThreadPool* pool, int64_t rows, int64_t total_weight,
+    ThreadPool* pool, int64_t first, int64_t last, int64_t total_weight,
     const std::function<int64_t(int64_t)>& weight_of,
     const std::function<double(int64_t, int64_t)>& range_sum) {
   const int shards = pool == nullptr ? 1 : pool->num_threads();
   if (shards <= 1 || total_weight < kMinNnzForParallel) {
-    return range_sum(0, rows);
+    return range_sum(first, last);
   }
   // Prefix-walk the weights, cutting at multiples of total/shards.
   std::vector<std::pair<int64_t, int64_t>> ranges;
   ranges.reserve(static_cast<size_t>(shards));
-  int64_t begin = 0;
+  int64_t begin = first;
   int64_t acc = 0;
-  for (int64_t i = 0;
-       i < rows && static_cast<int>(ranges.size()) < shards - 1; ++i) {
+  for (int64_t i = first;
+       i < last && static_cast<int>(ranges.size()) < shards - 1; ++i) {
     acc += weight_of(i);
     if (acc * shards >=
         total_weight * static_cast<int64_t>(ranges.size() + 1)) {
@@ -64,7 +64,7 @@ double ParallelWeightedSum(
       begin = i + 1;
     }
   }
-  ranges.emplace_back(begin, rows);
+  ranges.emplace_back(begin, last);
   std::vector<CacheLinePadded<double>> partial(ranges.size());
   for (size_t s = 0; s < ranges.size(); ++s) {
     pool->Submit([&, s] {
@@ -84,14 +84,17 @@ double ParallelWeightedSum(
 /// rows themselves, not by accumulation error.
 template <typename Real>
 double SquaredErrorT(const SparseMatrix& ratings, const FactorMatrixT<Real>& w,
-                     const FactorMatrixT<Real>& h, ThreadPool* pool) {
+                     const FactorMatrixT<Real>& h, int32_t row_begin,
+                     int32_t row_end, ThreadPool* pool) {
   NOMAD_CHECK_EQ(w.cols(), h.cols());
+  if (row_end <= row_begin) return 0.0;  // also a default-built matrix
   const int k = w.cols();
   const auto row_nnz = [&ratings](int64_t i) {
     return static_cast<int64_t>(ratings.RowNnz(static_cast<int32_t>(i)));
   };
   return ParallelWeightedSum(
-      pool, ratings.rows(), ratings.nnz(), row_nnz,
+      pool, row_begin, row_end,
+      ratings.RowOffset(row_end) - ratings.RowOffset(row_begin), row_nnz,
       [&](int64_t begin, int64_t end) {
     double sum = 0.0;
     for (int64_t i = begin; i < end; ++i) {
@@ -114,7 +117,7 @@ template <typename Real>
 double RmseT(const SparseMatrix& ratings, const FactorMatrixT<Real>& w,
              const FactorMatrixT<Real>& h, ThreadPool* pool) {
   if (ratings.nnz() == 0) return 0.0;
-  return std::sqrt(SquaredErrorT(ratings, w, h, pool) /
+  return std::sqrt(SquaredErrorT(ratings, w, h, 0, ratings.rows(), pool) /
                    static_cast<double>(ratings.nnz()));
 }
 
@@ -123,7 +126,7 @@ double ObjectiveT(const SparseMatrix& train, const FactorMatrixT<Real>& w,
                   const FactorMatrixT<Real>& h, double lambda,
                   ThreadPool* pool) {
   const int k = w.cols();
-  double obj = 0.5 * SquaredErrorT(train, w, h, pool);
+  double obj = 0.5 * SquaredErrorT(train, w, h, 0, train.rows(), pool);
   obj += ParallelSum(pool, train.rows(), [&](int64_t begin, int64_t end) {
     double sum = 0.0;
     for (int64_t i = begin; i < end; ++i) {
@@ -149,12 +152,24 @@ double ObjectiveT(const SparseMatrix& train, const FactorMatrixT<Real>& w,
 
 double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
                     const FactorMatrix& h, ThreadPool* pool) {
-  return SquaredErrorT<double>(ratings, w, h, pool);
+  return SquaredErrorT<double>(ratings, w, h, 0, ratings.rows(), pool);
 }
 
 double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
                     const FactorMatrixF& h, ThreadPool* pool) {
-  return SquaredErrorT<float>(ratings, w, h, pool);
+  return SquaredErrorT<float>(ratings, w, h, 0, ratings.rows(), pool);
+}
+
+double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
+                    const FactorMatrix& h, int32_t row_begin, int32_t row_end,
+                    ThreadPool* pool) {
+  return SquaredErrorT<double>(ratings, w, h, row_begin, row_end, pool);
+}
+
+double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
+                    const FactorMatrixF& h, int32_t row_begin,
+                    int32_t row_end, ThreadPool* pool) {
+  return SquaredErrorT<float>(ratings, w, h, row_begin, row_end, pool);
 }
 
 double Rmse(const SparseMatrix& ratings, const FactorMatrix& w,

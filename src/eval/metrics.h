@@ -41,6 +41,17 @@ double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
 double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
                     const FactorMatrixF& h, ThreadPool* pool = nullptr);
 
+/// SquaredError over the rows [row_begin, row_end) only: the share of a
+/// rank of the distributed driver, which evaluates the users it owns. Over
+/// a split of [0, rows()) the shares add up to SquaredError (up to
+/// summation order); the full range is SquaredError, bit for bit.
+double SquaredError(const SparseMatrix& ratings, const FactorMatrix& w,
+                    const FactorMatrix& h, int32_t row_begin,
+                    int32_t row_end, ThreadPool* pool = nullptr);
+double SquaredError(const SparseMatrix& ratings, const FactorMatrixF& w,
+                    const FactorMatrixF& h, int32_t row_begin,
+                    int32_t row_end, ThreadPool* pool = nullptr);
+
 }  // namespace nomad
 
 #endif  // NOMAD_EVAL_METRICS_H_

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "util/numa_topology.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace nomad {
 namespace net {
@@ -40,10 +42,11 @@ namespace {
 /// makes receivers accept the reset unconditionally anyway).
 constexpr uint32_t kRegrantVersionBump = 1u << 20;
 
-/// One rank's training run for one storage precision. The workers are the
-/// NomadSolver's TokenWorkers with a RemoteHop; what is new is the driver,
-/// which pumps the transport and coordinates the cross-rank barrier
-/// protocol of docs/ARCHITECTURE.md ("Distributed layer").
+/// One rank's training run for one storage precision: the TokenWorkers
+/// pool with a RemoteHop, and the one NOMAD driver, which paces trace
+/// points, pumps the transport and coordinates the cross-rank barrier
+/// protocol of docs/ARCHITECTURE.md ("Distributed layer"). NomadSolver is
+/// its world of one: no peer, so the barrier is Pause → evaluate → Resume.
 template <typename Real>
 class RankRun {
  public:
@@ -70,15 +73,15 @@ class RankRun {
     workers_->Start(RemoteHop(this));
     const Status driver = DriveToCompletion();
     workers_->Stop();
+    // A caller-owned timeline keeps sampling only if the caller restarts
+    // it: the run it was pacing is over.
+    timeline_->StopSampler();
     NOMAD_RETURN_IF_ERROR(driver);
 
     TrainResult result;
     result.solver_name = "dist_nomad";
     result.precision = opt_.precision;
-    if (timeline_ != nullptr) {
-      timeline_->StopSampler();
-      result.timeline = timeline_->Points();
-    }
+    result.timeline = timeline_->Points();
     result.trace = std::move(trace_);
     result.total_updates = global_updates_;
     result.total_seconds = global_seconds_;
@@ -117,12 +120,7 @@ class RankRun {
     }
     if (world_ == 1) remote_prob_ = 0.0;
 
-    local_epoch_updates_ = 0;
-    for (int q = 0; q < p_; ++q) {
-      local_epoch_updates_ += shards_.WorkerNnz(rank_ * p_ + q);
-    }
-    local_epoch_updates_ = std::max<int64_t>(local_epoch_updates_, 1);
-    next_threshold_ = local_epoch_updates_;
+    SetTraceStride();
 
     // Sized up front: a fast peer's h-row broadcast can land while this
     // rank is still in the conservation phase of the same barrier, so Pump
@@ -130,10 +128,14 @@ class RankRun {
     hrow_received_.assign(static_cast<size_t>(world_), 0);
     wrow_received_.assign(static_cast<size_t>(world_), 0);
 
-    // Observability handles. Every series carries rank="r" so a loopback
-    // world sharing one process-wide registry keeps the ranks apart.
-    obs::MetricsRegistry* resolved = obs::ResolveRegistry(opt_.metrics);
-    registry_ = resolved->enabled() ? resolved : &fallback_registry_;
+    // Observability handles. The workers, the timeline and (at world 1)
+    // the update rate use the run's registry. Every nomad_dist_* series
+    // carries rank="r" so a loopback world sharing one process-wide
+    // registry keeps the ranks apart; a world of 1 keeps the
+    // shared-memory surface, so its dist series stay private.
+    obs::MetricsRegistry* const resolved = obs::ResolveRegistry(opt_.metrics);
+    registry_ =
+        resolved->enabled() && world_ > 1 ? resolved : &fallback_registry_;
     const obs::Labels rl = {{"rank", std::to_string(rank_)}};
     tokens_sent_ = registry_->GetCounter("nomad_dist_tokens_sent_total", rl);
     tokens_received_ =
@@ -173,7 +175,8 @@ class RankRun {
         registry_->GetGauge("nomad_dist_recovery_generation", rl);
     barrier_epoch_ = registry_->GetGauge("nomad_dist_barrier_epoch", rl);
     updates_per_second_ =
-        registry_->GetGauge("nomad_dist_updates_per_second", rl);
+        world_ == 1 ? resolved->GetGauge("nomad_updates_per_second")
+                    : registry_->GetGauge("nomad_dist_updates_per_second", rl);
     transport_bytes_sent_ =
         registry_->GetGauge("nomad_dist_transport_bytes_sent", rl);
     transport_bytes_received_ =
@@ -184,7 +187,7 @@ class RankRun {
         registry_->GetGauge("nomad_dist_transport_messages_received", rl);
     pump_latency_ = registry_->GetHistogram(
         "nomad_dist_pump_round_latency_seconds", obs::kLatencyBounds, rl);
-    own_timeline_.Bind(registry_);
+    own_timeline_.Bind(resolved);
     timeline_ = (rank_ == 0 && opt_.timeline != nullptr) ? opt_.timeline
                                                          : &own_timeline_;
     if (opt_.metrics_sample_ms > 0) {
@@ -195,9 +198,12 @@ class RankRun {
     workers_ = std::make_unique<TokenWorkers<Real>>(
         typename TokenWorkers<Real>::Run{opt_, world_, rank_, partition_,
                                          shards_, kernel_, w_, h_, counts_,
-                                         registry_, rank_},
+                                         resolved, world_ > 1 ? rank_ : -1},
         opt_.numa_policy == NumaPolicy::kOff ? NumaTopology::SingleNode()
                                              : NumaTopology::Detect());
+    // The workers are parked while the rank evaluates, so the pool's
+    // threads have their CPUs (and, under NUMA placement, their nodes).
+    eval_pool_ = std::make_unique<ThreadPool>(p_, workers_->worker_cpus());
     // Budget lease: with a hard max_updates budget B, each rank starts with
     // an equal share as its local cap; rank 0 re-leases the remainder at
     // every barrier (kResume.held), so the job stops within a token batch
@@ -205,8 +211,9 @@ class RankRun {
     if (opt_.max_updates > 0) {
       const int64_t base = opt_.max_updates / world_;
       const int64_t extra = rank_ < opt_.max_updates % world_ ? 1 : 0;
-      workers_->SetCap(base + extra);
+      lease_ = base + extra;
     }
+    ArmThreshold();
   }
 
   // ---- the remote hand-off ----
@@ -473,6 +480,13 @@ class RankRun {
     return true;
   }
 
+  /// Rank 0 coordinates every barrier and recovery, so any other rank
+  /// that loses it can only abort.
+  Status RankZeroLost() const {
+    return Status::IOError("rank " + std::to_string(rank_) +
+                           ": rank 0 is unreachable — unrecoverable, aborting");
+  }
+
   /// Sends with bounded retry + exponential backoff on transient
   /// (Unavailable) failures; any other error — and exhausted retries —
   /// surfaces to the caller.
@@ -520,9 +534,7 @@ class RankRun {
         death_pending_ = true;
         escalate = s;
       } else if (r == 0) {
-        return Status::IOError(
-            "rank " + std::to_string(rank_) +
-            ": rank 0 is unreachable — unrecoverable, aborting");
+        return RankZeroLost();
       }
     }
     return escalate;
@@ -549,11 +561,7 @@ class RankRun {
         }
       }
     } else {
-      if (PeerDead(0)) {
-        return Status::IOError(
-            "rank " + std::to_string(rank_) +
-            ": rank 0 is unreachable — unrecoverable, aborting");
-      }
+      if (PeerDead(0)) return RankZeroLost();
       ControlFrame notice;
       while (TakeCtrl(ControlKind::kDeathNotice, &notice)) {
         LatchDead(static_cast<int>(notice.count));
@@ -583,11 +591,7 @@ class RankRun {
       return fresh ? Status::Unavailable("death during recovery")
                    : Status::OK();
     }
-    if (PeerDead(0)) {
-      return Status::IOError(
-          "rank " + std::to_string(rank_) +
-          ": rank 0 is unreachable — unrecoverable, aborting");
-    }
+    if (PeerDead(0)) return RankZeroLost();
     bool newer = false;
     ControlFrame notice;
     while (TakeCtrl(ControlKind::kDeathNotice, &notice)) {
@@ -671,9 +675,7 @@ class RankRun {
     const bool out_of_time =
         opt_.max_seconds > 0 &&
         train_seconds_ + wall_.ElapsedSeconds() >= opt_.max_seconds;
-    const bool out_of_budget =
-        opt_.max_updates > 0 &&
-        done >= workers_->cap();
+    const bool out_of_budget = done >= lease_;
     if (rank_ == 0) {
       bool requested = done >= next_threshold_ || out_of_time ||
                        out_of_budget || barrier_after_recovery_;
@@ -733,20 +735,7 @@ class RankRun {
     NOMAD_RETURN_IF_ERROR(EvaluateAndDecide(&stop));
 
     if (!stop) {
-      Rng rescatter(opt_.seed ^ (0xBEEF0000ULL + static_cast<uint64_t>(
-                                                     epoch_)));
-      for (int32_t j : held_) {
-        workers_->Push(
-            static_cast<int>(rescatter.NextBelow(static_cast<uint64_t>(p_))),
-            j);
-      }
-      held_.clear();
-      in_barrier_ = false;
-      request_sent_ = false;
-      ++epoch_;
-      next_threshold_ = workers_->updates() + local_epoch_updates_;
-      wall_.Restart();
-      workers_->Resume();
+      ResumeTraining(0xBEEF0000ULL + static_cast<uint64_t>(epoch_++));
       *finished = false;
       return Status::OK();
     }
@@ -759,16 +748,44 @@ class RankRun {
   }
 
   /// Parks the workers and herds every local token into held_; idempotent,
-  /// so an aborted barrier and the recovery that follows it compose.
+  /// so an aborted barrier and the recovery that follows it compose. With
+  /// no peer nothing is in flight, and the tokens stay in their queues.
   void Quiesce() {
     if (in_barrier_) return;
     workers_->Pause();
     train_seconds_ += wall_.ElapsedSeconds();
     in_barrier_ = true;
-    workers_->Drain(&held_);
+    if (world_ > 1) workers_->Drain(&held_);
+  }
+
+  /// Leaves a barrier or a recovery: re-scatters the held tokens (seeded
+  /// with `salt`), re-arms the trace threshold and resumes the workers.
+  void ResumeTraining(uint64_t salt) {
+    Rng rescatter(opt_.seed ^ salt);
+    for (int32_t j : held_) {
+      workers_->Push(
+          static_cast<int>(rescatter.NextBelow(static_cast<uint64_t>(p_))), j);
+    }
+    held_.clear();
+    in_barrier_ = false;
+    request_sent_ = false;
+    ArmThreshold();
+    wall_.Restart();
+    workers_->Resume();
+  }
+
+  /// Sets the update count at which this rank next requests a trace
+  /// point, and caps its workers at the budget lease or one stride past
+  /// that point, whichever comes first: a driver that oversleeps a trace
+  /// point loses at most one more stride, and one that keeps up never
+  /// holds the workers back.
+  void ArmThreshold() {
+    next_threshold_ = workers_->updates() + trace_stride_;
+    workers_->SetCap(std::min(lease_, next_threshold_ + trace_stride_));
   }
 
   Status AwaitConservation() {
+    if (world_ == 1) return Status::OK();
     const int32_t n = ds_.cols;
     if (rank_ == 0) {
       std::vector<int64_t> rank_held(static_cast<size_t>(world_), -1);
@@ -872,25 +889,13 @@ class RankRun {
   }
 
   Status EvaluateAndDecide(bool* stop) {
+    // The test ratings of the users this rank owns; at world 1 that is
+    // Rmse(ds.test, w, h, pool)'s sum, bit for bit.
     double sq = 0.0;
     int64_t cnt = 0;
-    for (const auto& range : OwnedRowRanges()) {
-      for (int32_t i = range.first; i < range.second; ++i) {
-        const int32_t nnz = ds_.test.RowNnz(i);
-        const int32_t* cols = ds_.test.RowCols(i);
-        const float* vals = ds_.test.RowVals(i);
-        const Real* wi = w_.Row(i);
-        for (int32_t t = 0; t < nnz; ++t) {
-          const Real* hj = h_.Row(cols[t]);
-          double pred = 0.0;
-          for (int d = 0; d < k_; ++d) {
-            pred += static_cast<double>(wi[d]) * static_cast<double>(hj[d]);
-          }
-          const double err = pred - static_cast<double>(vals[t]);
-          sq += err * err;
-          ++cnt;
-        }
-      }
+    for (const auto& [begin, end] : OwnedRowRanges()) {
+      sq += SquaredError(ds_.test, w_, h_, begin, end, eval_pool_.get());
+      cnt += ds_.test.RowOffset(end) - ds_.test.RowOffset(begin);
     }
     const TransportStats tstats = transport_->stats();
     // The transport gauges are set ONLY here, from the same stats snapshot
@@ -967,6 +972,13 @@ class RankRun {
       pt.seconds = train_seconds_;
       pt.updates = updates_total;
       pt.test_rmse = rmse;
+      // Only NomadSolver asks for it (DistNomadSolver::Train refuses it):
+      // the objective needs all of W, which one rank holds only in a world
+      // of one.
+      if (opt_.record_objective) {
+        pt.objective = Objective(ds_.train, w_, h_, opt_.lambda,
+                                 eval_pool_.get());
+      }
       trace_.Add(pt);
       timeline_->RecordTrace(pt);
       const int64_t max_updates =
@@ -1006,7 +1018,7 @@ class RankRun {
           ++share_index;
         }
         if (r == 0) {
-          if (resume.held >= 0) workers_->SetCap(resume.held);
+          if (resume.held >= 0) lease_ = resume.held;
           continue;
         }
         NOMAD_RETURN_IF_ERROR(SendCtrl(r, resume));
@@ -1041,7 +1053,7 @@ class RankRun {
             global_seconds_ > 0.0
                 ? static_cast<double>(global_updates_) / global_seconds_
                 : 0.0);
-        if (f.held >= 0) workers_->SetCap(f.held);
+        if (f.held >= 0) lease_ = f.held;
         *stop = f.flag != 0;
         return Status::OK();
       }
@@ -1110,11 +1122,7 @@ class RankRun {
       // first, but one Pump() can surface both at once.
       ControlFrame f;
       if (TakeCtrl(ControlKind::kShutdown, &f)) return Status::OK();
-      if (PeerDead(0)) {
-        return Status::IOError(
-            "rank " + std::to_string(rank_) +
-            ": rank 0 is unreachable — unrecoverable, aborting");
-      }
+      if (PeerDead(0)) return RankZeroLost();
       Nap();
     }
   }
@@ -1307,19 +1315,26 @@ class RankRun {
     // 7. Resume degraded. Tokens re-scatter deterministically; rank 0
     //    schedules an immediate barrier so the post-recovery RMSE lands in
     //    the trace (the visible recovery dip).
-    Rng rescatter(opt_.seed ^ (0xFEED0000ULL + static_cast<uint64_t>(gen)));
-    for (int32_t j : held_) {
-      workers_->Push(
-          static_cast<int>(rescatter.NextBelow(static_cast<uint64_t>(p_))), j);
-    }
-    held_.clear();
-    in_barrier_ = false;
-    request_sent_ = false;
-    next_threshold_ = workers_->updates() + local_epoch_updates_;
     if (rank_ == 0) barrier_after_recovery_ = true;
-    wall_.Restart();
-    workers_->Resume();
+    ResumeTraining(0xFEED0000ULL + static_cast<uint64_t>(gen));
     return Status::OK();
+  }
+
+  /// Sets how many updates this rank applies between its trace-point
+  /// requests: an epoch of the ratings its global workers own, or their
+  /// share of eval_every_updates (at world 1, all of it).
+  void SetTraceStride() {
+    int64_t owned = 0;
+    for (int g : my_globals_) owned += shards_.WorkerNnz(g);
+    trace_stride_ = std::max<int64_t>(owned, 1);
+    if (opt_.eval_every_updates > 0) {
+      const double share = static_cast<double>(owned) /
+                           static_cast<double>(std::max<int64_t>(
+                               ds_.train.nnz(), 1));
+      trace_stride_ = std::max<int64_t>(
+          std::llround(static_cast<double>(opt_.eval_every_updates) * share),
+          1);
+    }
   }
 
   /// Redistributes every dead rank's global workers over the survivors:
@@ -1351,9 +1366,7 @@ class RankRun {
     }
     workers_->AssignGlobals(std::move(worker_globals));
     std::sort(my_globals_.begin(), my_globals_.end());
-    local_epoch_updates_ = 0;
-    for (int g : my_globals_) local_epoch_updates_ += shards_.WorkerNnz(g);
-    local_epoch_updates_ = std::max<int64_t>(local_epoch_updates_, 1);
+    SetTraceStride();
   }
 
   // ---- immutable run parameters ----
@@ -1377,7 +1390,7 @@ class RankRun {
   ColumnShards shards_;
   StepCounts counts_;
   double remote_prob_ = 0.0;
-  int64_t local_epoch_updates_ = 1;
+  int64_t trace_stride_ = 1;  ///< Local updates between trace requests.
 
   /// Latched-dead ranks as a bit mask for the workers' remote routing
   /// (advisory; a world over 64 ranks falls back to retry-only). Written
@@ -1403,6 +1416,9 @@ class RankRun {
   bool request_sent_ = false;
   int epoch_ = 0;
   int64_t next_threshold_ = 0;
+  /// Absolute update cap under a max_updates budget (rank 0 re-leases it
+  /// at every barrier); unbounded otherwise.
+  int64_t lease_ = std::numeric_limits<int64_t>::max();
   std::vector<char> dead_;        ///< Latched death verdicts, by rank.
   bool death_pending_ = false;    ///< A latched death awaits recovery.
   int recovery_gen_ = 0;          ///< Rank 0: recovery generations issued.
@@ -1420,13 +1436,13 @@ class RankRun {
   std::vector<RankTrafficStats> rank_traffic_;
 
   // ---- observability (obs/metrics.h; handles created in Setup) ----
-  // TrainResult::rank_traffic is a view over these cells (kPartialEval
-  // frames carry the per-run counter deltas), so the accounting must never
-  // degrade: when the resolved registry is disabled (NOMAD_METRICS=off),
-  // the run counts into this private registry instead — same cost as the
-  // plain atomics it replaced, just nothing scrapes it.
+  // TrainResult::rank_traffic is a view over the nomad_dist_* cells
+  // (kPartialEval frames carry the per-run counter deltas), so the
+  // accounting must never degrade: when the resolved registry is disabled
+  // (NOMAD_METRICS=off), or at world 1, they count into this private
+  // registry instead — nothing scrapes it. The workers never do.
   obs::MetricsRegistry fallback_registry_{true};
-  obs::MetricsRegistry* registry_ = nullptr;
+  obs::MetricsRegistry* registry_ = nullptr;  ///< Of the nomad_dist_* cells.
   obs::Counter tokens_sent_;       ///< Tokens handed to remote ranks.
   obs::Counter tokens_received_;   ///< Tokens accepted from remote ranks.
   int64_t tokens_sent0_ = 0;       ///< Start values: the counters may be
@@ -1462,6 +1478,10 @@ class RankRun {
   /// interleaving of every rank's.
   obs::RunTimeline own_timeline_;
   obs::RunTimeline* timeline_ = nullptr;
+
+  /// Evaluates this rank's share of each trace point, pinned like the
+  /// workers.
+  std::unique_ptr<ThreadPool> eval_pool_;
 
   /// The rank's workers (nomad/token_worker.h): queues, router, gate,
   /// ownership, update counter and budget-lease cap. Last, so their
@@ -1508,9 +1528,10 @@ Result<TrainResult> TrainImpl(const Dataset& ds,
   // With a wire codec negotiated, the rank sees its transport through a
   // CodecTransport stack — quantize/delta/batch on send, restore on
   // receive — so the protocol code above runs unchanged. The decorator
-  // borrows the endpoint; Close() stays the caller's, as documented.
+  // borrows the endpoint; Close() stays the caller's, as documented. A
+  // world of 1 sends no frame, so it has nothing to code.
   std::unique_ptr<CodecTransport> codec;
-  if (options.wire_codec.enabled()) {
+  if (options.wire_codec.enabled() && transport->world() > 1) {
     CodecOptions copts;
     copts.spec = options.wire_codec;
     copts.native = WirePrecisionOf<Real>();
@@ -1533,7 +1554,6 @@ Result<TrainResult> DistNomadSolver::Train(const Dataset& ds,
   if (transport == nullptr) {
     return Status::InvalidArgument("transport must not be null");
   }
-  NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options.train));
   if (options.train.rank > kMaxWireK) {
     // Enforced here rather than at the first remote hand-off, where the
     // frame encoder would abort the whole job mid-training.
@@ -1552,13 +1572,20 @@ Result<TrainResult> DistNomadSolver::Train(const Dataset& ds,
     return Status::InvalidArgument(
         "record_objective is not supported by dist_nomad yet");
   }
+  return TrainRank(ds, options, transport);
+}
+
+Result<TrainResult> TrainRank(const Dataset& ds,
+                              const DistNomadOptions& options,
+                              Transport* transport) {
+  NOMAD_RETURN_IF_ERROR(ValidateCommonOptions(options.train));
   if (options.train.nomadic_rows) {
-    // Footnote 2, same trick as the shared-memory solver: every rank
-    // transposes consistently and swaps the factors back.
+    // Footnote 2: circulate user parameters instead. Every rank transposes
+    // consistently, trains, and swaps the factors back.
     const Dataset transposed = Transpose(ds);
     DistNomadOptions inner = options;
     inner.train.nomadic_rows = false;
-    auto result = Train(transposed, inner, transport);
+    auto result = TrainRank(transposed, inner, transport);
     if (!result.ok()) return result.status();
     TrainResult swapped = std::move(result).value();
     std::swap(swapped.w, swapped.h);

@@ -57,28 +57,41 @@ struct DistNomadOptions {
 /// path — and between ranks through a net::Transport carrying the token's
 /// h_j row on the wire.
 ///
-/// Each rank runs the shared-memory solver's TokenWorkers pool
-/// (nomad/token_worker.h) with a remote hop; a driver thread additionally
-/// pumps the transport: inbound tokens are written into the local H and
-/// enqueued, and trace points are coordinated barriers (rank 0 collects
-/// held-token counts until every circulating token is accounted for, all
-/// ranks exchange current h rows, each evaluates its own user range, and
-/// rank 0 aggregates the global RMSE — so every rank returns the same
-/// trace). At the final barrier rank 0 additionally gathers the w-row
-/// partitions, so its TrainResult holds the complete model; every rank's
-/// result holds the full (current) H. docs/ARCHITECTURE.md, "Distributed
-/// layer", walks through the protocol.
+/// Each rank runs the TokenWorkers pool (nomad/token_worker.h) with a
+/// remote hop, and the calling thread is the rank's driver: it pumps the
+/// transport (inbound tokens are written into the local H and enqueued),
+/// and trace points are coordinated barriers (rank 0 collects held-token
+/// counts until every circulating token is accounted for, all ranks
+/// exchange current h rows, each evaluates its own user range on a thread
+/// pool pinned like its workers, and rank 0 aggregates the global RMSE —
+/// so every rank returns the same trace). At the final barrier rank 0
+/// additionally gathers the w-row partitions, so its TrainResult holds the
+/// complete model; every rank's result holds the full (current) H.
+/// docs/ARCHITECTURE.md, "Distributed layer", walks through the protocol.
+///
+/// This is the one NOMAD driver: a world of 1 is shared-memory NOMAD, and
+/// NomadSolver trains through TrainRank as that world's only rank.
 class DistNomadSolver {
  public:
   /// Trains rank `transport->rank()`'s share of the factorization, using
   /// `transport` (already established, world = transport->world()) for
   /// cross-rank token hand-offs and barriers. Blocks until the whole job
-  /// finishes. A world of 1 degenerates to single-process NOMAD with
-  /// barrier-paced trace points. The transport is left open; the caller
-  /// owns Close(). Returns InvalidArgument for malformed options.
+  /// finishes. The transport is left open; the caller owns Close().
+  /// Returns InvalidArgument for malformed options, and at any world for
+  /// k above the wire format's kMaxWireK and for record_objective (the
+  /// objective needs all of W on one rank); NomadSolver supports both.
   Result<TrainResult> Train(const Dataset& ds, const DistNomadOptions& options,
                             Transport* transport);
 };
+
+/// The per-rank entry DistNomadSolver::Train reaches after its wire-level
+/// checks: validates the common options, applies `nomadic_rows`, and runs
+/// this rank's share of the job on the calling thread. NomadSolver calls
+/// it with the only endpoint of a world of 1, which sends no frame — so
+/// there k may exceed kMaxWireK, and `record_objective` is honored.
+Result<TrainResult> TrainRank(const Dataset& ds,
+                              const DistNomadOptions& options,
+                              Transport* transport);
 
 /// Convenience harness shared by the CLI, the bench, and the tests: runs a
 /// `world`-rank job rank-per-thread over a fresh loopback fabric and

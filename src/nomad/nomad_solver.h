@@ -13,9 +13,11 @@ namespace nomad {
 /// updates over its locally-stored ratings Ω̄_j^{(q)} — touching only its
 /// own w_i rows and the h_j it exclusively owns while holding the token —
 /// then pushes the token to another worker chosen by the routing policy.
-/// The workers are the TokenWorkers pool (nomad/token_worker.h) with every
-/// token kept local — the same worker loop DistNomadSolver runs in each
-/// rank; this solver adds the driver that paces trace points and budgets.
+/// Shared-memory NOMAD is the distributed algorithm on one machine, so this
+/// solver is one rank of DistNomadSolver's driver in a world of 1
+/// (net/dist_nomad.h, TrainRank): the same TokenWorkers pool
+/// (nomad/token_worker.h), trace points that pause the workers, evaluate
+/// on a thread pool pinned like them and resume them, and no frame sent.
 ///
 /// Properties (Sec. 1): non-blocking, decentralized, lock-free updates
 /// (queue hand-off aside), fully asynchronous, and serializable — every
@@ -38,7 +40,8 @@ class NomadSolver final : public Solver {
   /// NOMAD-specific knobs (routing, token_batch_size/token_batch_mode,
   /// numa_policy, …). Under token_batch_mode=auto each worker adapts its
   /// hand-off batch at runtime (nomad/batch_controller.h); the per-worker
-  /// adaptation is returned in TrainResult::worker_batch.
+  /// adaptation is returned in TrainResult::worker_batch. No peer, no
+  /// traffic: TrainResult::rank_traffic stays empty.
   Result<TrainResult> Train(const Dataset& ds,
                             const TrainOptions& options) override;
 };

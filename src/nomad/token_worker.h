@@ -28,15 +28,9 @@
 
 namespace nomad {
 
-/// Hop policy of shared-memory NOMAD: every token stays on its rank, so
-/// the worker loop instantiated with it has no remote branch.
-struct LocalHop {
-  bool Take(int32_t /*token*/, Rng* /*rng*/) { return false; }  ///< Keep.
-  bool Send() { return true; }  ///< Unreached.
-};
-
 /// One rank's NOMAD workers and the one worker loop (Algorithm 1) that
-/// both NomadSolver and DistNomadSolver run. Users are partitioned over
+/// the NOMAD driver (net/dist_nomad.cc) runs in every rank, NomadSolver's
+/// world of one included. Users are partitioned over
 /// `world × p` global workers; local worker q of rank r is global worker
 /// r·p + q. Each worker drains a batch of item tokens from its queue,
 /// asserts exclusive ownership of each, applies the SGD updates of its
@@ -154,12 +148,10 @@ class TokenWorkers {
   /// SGD updates applied so far.
   int64_t updates() const { return updates_.load(std::memory_order_relaxed); }
 
-  /// The update cap: at or past it, tokens keep circulating but no worker
-  /// applies an update. Workers check it per token, so overshoot stays
-  /// bounded by p × (ratings of one column) however rarely the driver runs.
-  int64_t cap() const { return cap_.load(std::memory_order_relaxed); }
-
-  /// Sets the absolute update cap (default: none).
+  /// Sets the absolute update cap (default: none): at or past it, tokens
+  /// keep circulating but no worker applies an update. Workers check it per
+  /// token, so overshoot stays bounded by p × (ratings of one column)
+  /// however rarely the driver runs.
   void SetCap(int64_t cap) { cap_.store(cap, std::memory_order_relaxed); }
 
   /// Hands token j to worker q's queue.

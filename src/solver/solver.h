@@ -117,9 +117,10 @@ struct TrainOptions {
 
   // -- Evaluation cadence --
 
-  /// Shared-memory solvers evaluate every `eval_every_updates` updates
-  /// (default: once per epoch-equivalent); epoch-based solvers evaluate
-  /// once per epoch regardless.
+  /// NOMAD evaluates every `eval_every_updates` updates (default: once per
+  /// epoch-equivalent; a distributed rank requests a trace point after its
+  /// share of them); epoch-based solvers evaluate once per epoch
+  /// regardless.
   int64_t eval_every_updates = -1;
   /// Also record the Eq. (1) objective J(W,H) at every trace point.
   bool record_objective = false;

@@ -1,8 +1,11 @@
 #include "eval/metrics.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/thread_pool.h"
 
 namespace nomad {
 namespace {
@@ -46,6 +49,42 @@ TEST(SquaredErrorTest, HandComputed) {
   auto m = SparseMatrix::Build(2, 2, {{0, 1, 1.0f}}).value();
   // Prediction (0,1) = 0; err = 1.
   EXPECT_DOUBLE_EQ(SquaredError(m, f.w, f.h), 1.0);
+}
+
+// The distributed driver sums each rank's owned row ranges: over a split
+// of the rows they must add up to the whole, inline and across a pool (the
+// matrix is big enough for the pool to cut it).
+TEST(SquaredErrorTest, RowRangesAddUpToTheWhole) {
+  const int32_t rows = 500;
+  const int32_t cols = 200;
+  const int k = 6;
+  std::vector<Rating> ratings;
+  for (int32_t i = 0; i < rows; ++i) {
+    for (int32_t t = 0; t < 80; ++t) {
+      ratings.push_back({i, (i + 3 * t) % cols,
+                         static_cast<float>((i * 7 + t * 5) % 11) * 0.5f});
+    }
+  }
+  const SparseMatrix m = SparseMatrix::Build(rows, cols, ratings).value();
+  FactorMatrix w(rows, k);
+  FactorMatrix h(cols, k);
+  for (int32_t i = 0; i < rows; ++i) {
+    for (int d = 0; d < k; ++d) w.At(i, d) = std::sin(0.37 * i + d);
+  }
+  for (int32_t j = 0; j < cols; ++j) {
+    for (int d = 0; d < k; ++d) h.At(j, d) = std::cos(0.23 * j - d);
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const double whole = SquaredError(m, w, h, p);
+    EXPECT_EQ(SquaredError(m, w, h, 0, rows, p), whole);
+    const double parts = SquaredError(m, w, h, 0, 137, p) +
+                         SquaredError(m, w, h, 137, 300, p) +
+                         SquaredError(m, w, h, 300, 300, p) +
+                         SquaredError(m, w, h, 300, rows, p);
+    EXPECT_NEAR(parts, whole, 1e-9 * whole);
+  }
+  EXPECT_EQ(m.RowOffset(300) - m.RowOffset(137), 163 * 80);
 }
 
 TEST(ObjectiveTest, MatchesEquationOne) {

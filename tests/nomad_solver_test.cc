@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/wire_format.h"
 #include "nomad/batch_controller.h"
 
 #include "test_util.h"
@@ -74,6 +75,38 @@ TEST(NomadSolverTest, StopsByUpdateBudget) {
   EXPECT_GE(result.value().total_updates, 5000);
   // Overshoot is bounded by roughly one eval window plus in-flight tokens.
   EXPECT_LT(result.value().total_updates, 5000 + ds.train.nnz());
+}
+
+// The driver requests a trace point once eval_every_updates have been
+// applied since the last one; how far past that the workers run depends on
+// when it wakes, so only the spacing's lower bound is fixed.
+TEST(NomadSolverTest, TracePointsAreAtLeastEvalEveryApart) {
+  const Dataset ds = MakeTestDataset();
+  NomadSolver solver;
+  TrainOptions options = FastTrainOptions(/*epochs=*/12);
+  options.eval_every_updates = 1500;
+  auto result = solver.Train(ds, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto& pts = result.value().trace.points();
+  ASSERT_FALSE(pts.empty());
+  int64_t previous = 0;
+  for (size_t i = 0; i + 1 < pts.size(); ++i) {  // the final one may stop
+    EXPECT_GE(pts[i].updates - previous, options.eval_every_updates) << i;
+    previous = pts[i].updates;
+  }
+}
+
+// A world of one sends no frame, so the wire format's k ceiling (which
+// DistNomadSolver enforces) does not apply.
+TEST(NomadSolverTest, TrainsAboveTheWireCeiling) {
+  const Dataset ds = MakeTestDataset(40, 10, 200, 5);
+  NomadSolver solver;
+  TrainOptions options = FastTrainOptions(/*epochs=*/1, /*workers=*/2);
+  options.rank = net::kMaxWireK + 1;
+  auto result = solver.Train(ds, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result.value().total_updates, 0);
+  EXPECT_EQ(result.value().h.cols(), net::kMaxWireK + 1);
 }
 
 TEST(NomadSolverTest, TraceIsMonotoneInTimeAndUpdates) {

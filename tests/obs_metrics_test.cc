@@ -484,6 +484,58 @@ TEST(ObsSolverTest, DisabledRegistryKeepsTrainResultIntact) {
   EXPECT_TRUE(reg.Snapshot().samples().empty());
 }
 
+// The dist workers under a disabled registry: they count nowhere (fixed
+// mode then reports the constant shape, rounds 0), while rank_traffic,
+// which the private fallback registry backs, stays intact.
+TEST(ObsSolverTest, DisabledRegistryKeepsDistTrainResultIntact) {
+  const Dataset ds = MakeTestDataset(200, 40, 2000, 11);
+  MetricsRegistry reg(/*enabled=*/false);
+  net::DistNomadOptions options;
+  options.train = FastTrainOptions(/*epochs=*/3, /*workers=*/2);
+  options.train.metrics = &reg;
+  auto results = net::TrainLoopbackWorld(ds, options, /*world=*/2);
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  ASSERT_TRUE(results[1].ok()) << results[1].status().ToString();
+  for (const auto& result : results) {
+    ASSERT_EQ(result.value().worker_batch.size(), 2u);
+    for (const WorkerBatchStats& s : result.value().worker_batch) {
+      EXPECT_EQ(s.rounds, 0);
+    }
+  }
+  const std::vector<RankTrafficStats>& traffic =
+      results[0].value().rank_traffic;
+  ASSERT_EQ(traffic.size(), 2u);
+  int64_t sent = 0;
+  int64_t received = 0;
+  for (const RankTrafficStats& t : traffic) {
+    sent += t.tokens_sent;
+    received += t.tokens_received;
+  }
+  EXPECT_GT(sent, 0);
+  EXPECT_EQ(sent, received);
+  EXPECT_TRUE(reg.Snapshot().samples().empty());
+}
+
+// NomadSolver is the dist driver's world of one, yet keeps the
+// shared-memory surface: no nomad_dist_* series reach the caller's
+// registry, and the update rate is nomad_updates_per_second.
+TEST(ObsSolverTest, SharedMemoryRunRegistersNoDistSeries) {
+  const Dataset ds = MakeTestDataset();
+  MetricsRegistry reg;
+  NomadSolver solver;
+  TrainOptions options = FastTrainOptions(/*epochs=*/3);
+  options.metrics = &reg;
+  auto result = solver.Train(ds, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const MetricsSnapshot snap = reg.Snapshot();
+  for (const obs::MetricSample& s : snap.samples()) {
+    EXPECT_NE(s.name.rfind("nomad_dist_", 0), 0u) << s.name;
+  }
+  EXPECT_GT(snap.GaugeValue("nomad_updates_per_second"), 0.0);
+  EXPECT_TRUE(result.value().rank_traffic.empty());
+}
+
 // Distributed: rank_traffic is a view over the rank-labeled dist counters.
 TEST(ObsSolverTest, DistRankTrafficMatchesRegistry) {
   const Dataset ds = MakeTestDataset(200, 40, 2000, 11);

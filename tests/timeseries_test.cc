@@ -258,13 +258,15 @@ TEST(TimelineSolverTest, TrainResultCarriesTimelineAndLatencies) {
 
 // An externally supplied timeline is honored (the CLI path: the caller
 // owns it so /timeseries can serve mid-run) and the sampler interleaves
-// kSample rows with the trace rows.
+// kSample rows with the trace rows. The run is budgeted in wall time, 20
+// sampler periods: an epoch budget on this dataset can end within one.
 TEST(TimelineSolverTest, ExternalTimelineAndSamplerInterleave) {
   const Dataset ds = MakeTestDataset();
   MetricsRegistry reg;
   RunTimeline timeline(&reg);
   NomadSolver solver;
-  TrainOptions options = FastTrainOptions(/*epochs=*/6);
+  TrainOptions options = FastTrainOptions(/*epochs=*/-1);
+  options.max_seconds = 0.02;
   options.metrics = &reg;
   options.timeline = &timeline;
   options.metrics_sample_ms = 1;

@@ -59,6 +59,12 @@ struct Fixture {
   FactorMatrixT<double> h;
 };
 
+/// The hop of a rank without peers: every token stays on the rank.
+struct LocalHop {
+  bool Take(int32_t /*token*/, Rng* /*rng*/) { return false; }
+  bool Send() { return true; }  // unreached
+};
+
 /// Polls `done` for up to ten seconds.
 bool WaitFor(const std::function<bool()>& done) {
   const auto deadline =

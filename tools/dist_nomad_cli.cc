@@ -6,10 +6,11 @@
 //     dist_nomad_cli --world=4 --preset netflix --scale 0.1 --epochs 10
 //
 //   TCP (one process per rank; --peers lists every rank's host:port in
-//   rank order, and every process must be given the same dataset flags):
-//     dist_nomad_cli --rank=0 --world=2 --peers=127.0.0.1:9600,127.0.0.1:9601 \
+//   rank order, and every process must be given the same dataset flags;
+//   an indented line continues the command above it):
+//     dist_nomad_cli --rank=0 --world=2 --peers=127.0.0.1:9600,127.0.0.1:9601
 //                    --preset netflix --scale 0.1
-//     dist_nomad_cli --rank=1 --world=2 --peers=127.0.0.1:9600,127.0.0.1:9601 \
+//     dist_nomad_cli --rank=1 --world=2 --peers=127.0.0.1:9600,127.0.0.1:9601
 //                    --preset netflix --scale 0.1
 //
 // NOTE: --rank is the *process rank*; the latent dimensionality flag is

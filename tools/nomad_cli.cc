@@ -9,12 +9,12 @@
 //   watch     live terminal dashboard over another process's /metrics
 //   solvers   list available solver names
 //
-// Examples:
-//   nomad_cli train --input ratings.txt --model out.nomad --solver nomad \
+// Examples (an indented line continues the command above it):
+//   nomad_cli train --input ratings.txt --model out.nomad --solver nomad
 //             --rank 32 --epochs 15 --precision f32 --numa auto
 //   nomad_cli train --preset netflix --scale 0.1 --model out.nomad
 //   nomad_cli train --preset netflix --metrics-port 9090   # live scrape
-//   nomad_cli train --preset netflix --trace-out run.jsonl \
+//   nomad_cli train --preset netflix --trace-out run.jsonl
 //             --metrics-sample-ms 250                      # run timeline
 //   nomad_cli evaluate --input ratings.txt --model out.nomad
 //   nomad_cli topn --model out.nomad --user 42 --n 10
