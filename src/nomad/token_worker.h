@@ -34,8 +34,9 @@ namespace nomad {
 /// `world × p` global workers; local worker q of rank r is global worker
 /// r·p + q. Each worker drains a batch of item tokens from its queue,
 /// asserts exclusive ownership of each, applies the SGD updates of its
-/// ratings while the rank is under its update cap, offers the token to
-/// the hop policy, and routes what stays on the rank to the local queues.
+/// ratings (UpdateKernelT::ApplyColumn) while the rank is under its update
+/// cap, offers the token to the hop policy, and routes what stays on the
+/// rank to the local queues.
 ///
 /// The hop policy is the remote half of the hybrid layout (Sec. 3.4), a
 /// template argument of Start() rather than a virtual call; every worker
@@ -309,11 +310,7 @@ class TokenWorkers {
             int32_t n = 0;
             const ColumnShards::Entry* entries =
                 run_.shards.ColEntries(g, j, &n);
-            for (int32_t t = 0; t < n; ++t) {
-              const ColumnShards::Entry& e = entries[t];
-              run_.kernel.Apply(e.value, &run_.counts, e.csc_pos,
-                                run_.w.Row(e.row), hj);
-            }
+            run_.kernel.ApplyColumn(entries, n, &run_.counts, &run_.w, hj);
             applied += n;
           }
           if (applied > 0) {

@@ -49,6 +49,8 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
   const int cores = cluster.compute_cores;
   const int num_workers = num_machines * cores;
   const int k = train.rank;
+  // The simulator trains squared loss in f64.
+  const UpdateKernel kernel(sched, /*loss=*/nullptr, train.lambda, k);
 
   SimResult result;
   result.train.solver_name = Name();
@@ -224,12 +226,7 @@ Result<SimResult> SimNomadSolver::Train(const Dataset& ds,
     int32_t count = 0;
     const ColumnShards::Entry* entries =
         shards.ColEntries(worker, token.item, &count);
-    double* hj = h.Row(token.item);
-    for (int32_t t = 0; t < count; ++t) {
-      const ColumnShards::Entry& e = entries[t];
-      ScheduledSgdUpdate(e.value, sched, &counts, e.csc_pos, train.lambda,
-                         w.Row(e.row), hj, k);
-    }
+    kernel.ApplyColumn(entries, count, &counts, &w, h.Row(token.item));
     total_updates += count;
     return count;
   };

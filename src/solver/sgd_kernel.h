@@ -1,10 +1,13 @@
 #ifndef NOMAD_SOLVER_SGD_KERNEL_H_
 #define NOMAD_SOLVER_SGD_KERNEL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "data/shard.h"
 #include "linalg/dense_ops.h"
+#include "linalg/factor_matrix.h"
 #include "sched/schedule.h"
 #include "solver/loss.h"
 
@@ -35,14 +38,12 @@ class StepCounts {
   std::vector<uint32_t> counts_;
 };
 
-/// One schedule-driven SGD update of (w_i, h_j) for a rating at CSC
-/// position `pos`. Returns the pre-update prediction error.
-inline double ScheduledSgdUpdate(double rating, const StepSchedule& schedule,
-                                 StepCounts* counts, int64_t pos,
-                                 double lambda, double* w, double* h, int k) {
-  const double step = schedule.Step(counts->NextCount(pos));
-  return SgdUpdatePair(rating, step, lambda, w, h, k);
-}
+/// How many ratings ahead a column visit requests the W row it will update.
+/// A worker's W slice (~6 MB on perfbench's shm workload) is several times
+/// a core's L2, so most w_i of a visit miss, while an update at k = 32 takes
+/// tens of ns: a row requested a few updates early has mostly arrived when
+/// its update runs. 2 to 16 all gained there; 4 keeps few rows in flight.
+inline constexpr int32_t kRowPrefetchDistance = 4;
 
 /// Bundles schedule + loss + λ into the per-rating update the SGD-family
 /// solvers share (nomad, serial_sgd, hogwild, dsgd, dsgd++, fpsgd**),
@@ -62,6 +63,34 @@ class UpdateKernelT {
   void Apply(double rating, StepCounts* counts, int64_t pos, Real* w,
              Real* h) const {
     ApplyWithStep(rating, schedule_.Step(counts->NextCount(pos)), w, h);
+  }
+
+  /// One column visit: Apply() to each rating of `entries[0, n)` (a
+  /// worker's ratings of column j, see ColumnShards::ColEntries) and h_j,
+  /// in order, each preceded by a write-intent prefetch of the W row
+  /// kRowPrefetchDistance ratings ahead.
+  void ApplyColumn(const ColumnShards::Entry* entries, int32_t n,
+                   StepCounts* counts, FactorMatrixT<Real>* w,
+                   Real* hj) const {
+    // Rows are line-aligned: a row is exactly the lines these bytes span.
+    const size_t row_bytes = sizeof(Real) * static_cast<size_t>(k_);
+    // Step t requests the row of rating t + D (D = kRowPrefetchDistance)
+    // and updates rating t, so rows [0, D) are requested before the first
+    // update. The prefetch stays inline: g++ 12 drops a __builtin_prefetch
+    // made inside a lambda called here.
+    for (int32_t t = -kRowPrefetchDistance; t < n; ++t) {
+      if (t + kRowPrefetchDistance < n) {
+        const char* row = reinterpret_cast<const char*>(
+            w->Row(entries[t + kRowPrefetchDistance].row));
+        for (size_t b = 0; b < row_bytes; b += kCacheLineBytes) {
+          __builtin_prefetch(row + b, /*rw=*/1);
+        }
+      }
+      if (t >= 0) {
+        Apply(entries[t].value, counts, entries[t].csc_pos,
+              w->Row(entries[t].row), hj);
+      }
+    }
   }
 
   /// Same update with a caller-chosen step size — the bold-driver path of

@@ -18,14 +18,26 @@
 #include <gtest/gtest.h>
 
 #include "data/shard.h"
+#include "linalg/dense_ops.h"
 #include "net/dist_nomad.h"
 #include "nomad/nomad_solver.h"
+#include "sched/schedule.h"
 #include "sim/solvers/sim_nomad.h"
 #include "solver/sgd_kernel.h"
 #include "test_util.h"
 
 namespace nomad {
 namespace {
+
+/// The replays' reference: one schedule-driven squared-loss SGD update of
+/// (w_i, h_j) for the rating at CSC position `pos`, written out here rather
+/// than taken from the kernel the simulator runs.
+void ScheduledSgdUpdate(double rating, const StepSchedule& schedule,
+                        StepCounts* counts, int64_t pos, double lambda,
+                        double* w, double* h, int k) {
+  const double step = schedule.Step(counts->NextCount(pos));
+  SgdUpdatePair(rating, step, lambda, w, h, k);
+}
 
 TEST(SerializabilityTest, SimNomadReplaysSeriallyBitExact) {
   const Dataset ds = MakeTestDataset(200, 40, 4000, 61);

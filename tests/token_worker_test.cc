@@ -1,6 +1,8 @@
 // TokenWorkers (nomad/token_worker.h) as a unit: token conservation under
 // the local hop and under a hop that takes tokens off the rank, the update
-// cap, clean shutdown, and NUMA placement on a synthetic two-node topology.
+// cap, clean shutdown, and NUMA placement on a synthetic two-node topology;
+// and the column visit its workers run (UpdateKernelT::ApplyColumn) against
+// a plain loop of per-rating updates.
 
 #include "nomad/token_worker.h"
 
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -17,6 +20,7 @@
 
 #include "data/shard.h"
 #include "sched/schedule.h"
+#include "solver/sgd_kernel.h"
 #include "test_util.h"
 
 namespace nomad {
@@ -220,6 +224,81 @@ TEST(TokenWorkersTest, PlacementFollowsTheNumaPolicy) {
     EXPECT_TRUE(pool.worker_cpus().empty());
     EXPECT_FALSE(pool.router().numa_aware());
   }
+}
+
+/// Bit-for-bit equality of the k entries of every row.
+template <typename Real>
+bool SameBits(const FactorMatrixT<Real>& a, const FactorMatrixT<Real>& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    if (std::memcmp(a.Row(i), b.Row(i),
+                    sizeof(Real) * static_cast<size_t>(a.cols())) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A column visit against a plain loop of Apply() over the same ratings,
+/// for column lengths around the prefetch distance. Each column's entries
+/// sit in a buffer exactly n long, so ASan flags a read past its end.
+template <typename Real>
+void ExpectColumnVisitIsTheApplyLoop() {
+  constexpr int32_t kD = kRowPrefetchDistance;
+  constexpr int kUsers = 300;
+  constexpr int kRank = 20;  // rows of 3 lines at f64, 2 at f32
+  const TrainOptions options = FastTrainOptions();
+  const std::unique_ptr<StepSchedule> schedule =
+      std::move(MakeSchedule(options.schedule, options.alpha, options.beta)
+                    .value());
+  const UpdateKernelT<Real> kernel(*schedule, /*loss=*/nullptr,
+                                   options.lambda, kRank);
+  Rng rng(29);
+  for (const int32_t n : {0, 1, kD - 1, kD, kD + 1, 3 * kD + 1, 200}) {
+    SCOPED_TRACE(n);
+    std::vector<ColumnShards::Entry> column;  // capacity may exceed n
+    for (int32_t t = 0; t < n; ++t) {
+      column.push_back({static_cast<int32_t>(rng.NextBelow(kUsers)),
+                        static_cast<float>(rng.Uniform(1.0, 5.0)),
+                        /*csc_pos=*/2 * t + 1});
+    }
+    // Exactly n long: ASan flags a read of entries[n] or beyond.
+    const std::vector<ColumnShards::Entry> entries(column.begin(),
+                                                   column.end());
+    FactorMatrixT<Real> w(kUsers, kRank);
+    FactorMatrixT<Real> h(/*rows=*/1, kRank);
+    w.InitUniform(&rng);
+    h.InitUniform(&rng);
+    const int64_t nnz = 2 * static_cast<int64_t>(n) + 1;
+    StepCounts counts(nnz);
+    for (const ColumnShards::Entry& e : entries) {
+      for (uint64_t c = rng.NextBelow(3); c > 0; --c) {
+        counts.NextCount(e.csc_pos);
+      }
+    }
+    FactorMatrixT<Real> w_loop = w;
+    FactorMatrixT<Real> h_loop = h;
+    StepCounts counts_loop = counts;
+
+    kernel.ApplyColumn(entries.data(), n, &counts, &w, h.Row(0));
+    for (const ColumnShards::Entry& e : entries) {
+      kernel.Apply(e.value, &counts_loop, e.csc_pos, w_loop.Row(e.row),
+                   h_loop.Row(0));
+    }
+    EXPECT_TRUE(SameBits(w, w_loop));
+    EXPECT_TRUE(SameBits(h, h_loop));
+    for (int64_t pos = 0; pos < nnz; ++pos) {
+      EXPECT_EQ(counts.CountAt(pos), counts_loop.CountAt(pos)) << pos;
+    }
+  }
+}
+
+TEST(ColumnVisitTest, IsAPlainApplyLoopAtF64) {
+  ExpectColumnVisitIsTheApplyLoop<double>();
+}
+
+TEST(ColumnVisitTest, IsAPlainApplyLoopAtF32) {
+  ExpectColumnVisitIsTheApplyLoop<float>();
 }
 
 }  // namespace
