@@ -185,6 +185,7 @@ class RankRun {
         registry_->GetGauge("nomad_dist_transport_messages_sent", rl);
     transport_msgs_received_ =
         registry_->GetGauge("nomad_dist_transport_messages_received", rl);
+    transport_writes_ = registry_->GetGauge("nomad_dist_transport_writes", rl);
     pump_latency_ = registry_->GetHistogram(
         "nomad_dist_pump_round_latency_seconds", obs::kLatencyBounds, rl);
     own_timeline_.Bind(resolved);
@@ -907,6 +908,7 @@ class RankRun {
     transport_msgs_sent_.Set(static_cast<double>(tstats.messages_sent));
     transport_msgs_received_.Set(
         static_cast<double>(tstats.messages_received));
+    transport_writes_.Set(static_cast<double>(tstats.writes));
     ControlFrame mine;
     mine.kind = ControlKind::kPartialEval;
     mine.rank = rank_;
@@ -1466,6 +1468,7 @@ class RankRun {
   // rank_traffic's bytes bit-identical at every barrier.
   obs::Gauge transport_bytes_sent_, transport_bytes_received_;
   obs::Gauge transport_msgs_sent_, transport_msgs_received_;
+  obs::Gauge transport_writes_;
   /// Pump-round latency (nomad_dist_pump_round_latency_seconds): how long
   /// one full drain of the transport takes — the dist layer's third
   /// hot-path histogram next to the worker service/wait pair.

@@ -41,6 +41,14 @@ constexpr size_t kRecvChunk = 64 * 1024;
 // (the barrier h-row exchange, the final w-row gather) gives its memory
 // back once it has passed.
 constexpr size_t kKeepCapacity = 64 * 1024;
+// After a pass that put bytes on a socket, the communicator only reads
+// until this window has passed; what Send() queues meanwhile leaves with
+// the next pass, as one send() per peer. It equals the receiving driver's
+// pump period (RankRun::Nap, 50 us), so a token waits at most about one
+// pump longer than it already does, while a loopback send() costs ~4.5 us
+// of CPU (the sender's syscall also runs the receiver's TCP input path).
+constexpr std::chrono::nanoseconds kWriteWindow =
+    std::chrono::microseconds(50);
 
 // Empties `buf`, keeping its capacity unless a burst grew it.
 template <typename T>
@@ -204,6 +212,7 @@ struct TcpTransport::Impl {
   std::atomic<int64_t> messages_received{0};
   std::atomic<int64_t> bytes_sent{0};
   std::atomic<int64_t> bytes_received{0};
+  std::atomic<int64_t> writes{0};  // send() calls that moved bytes
   // Liveness bookkeeping: last time any bytes arrived from each peer
   // (heartbeat or data), and the communicator thread's last beacon time.
   std::vector<std::atomic<int64_t>> last_heard_ns;
@@ -359,12 +368,13 @@ struct TcpTransport::Impl {
     }
   }
 
-  // Writes one peer's taken bytes, taking what Send() queued since each
-  // time they are all on the wire, until the queue is empty or the socket
-  // would block (the unsent tail then waits for POLLOUT). Returns false
-  // when the connection failed.
-  bool WriteTo(Conn* conn) {
-    for (;;) {
+  // Writes one peer's unsent tail and, once that is on the wire, takes
+  // what Send() queued (once: frames queued after the take wait for the
+  // next pass) and writes it until the socket would block. Sets *wrote
+  // when bytes reached the socket; returns false when the connection
+  // failed.
+  bool WriteTo(Conn* conn, bool* wrote) {
+    for (bool took = false;; took = true) {
       while (conn->sent < conn->sending.size()) {
         const ssize_t r =
             send(conn->fd, conn->sending.data() + conn->sent,
@@ -375,7 +385,10 @@ struct TcpTransport::Impl {
           return false;
         }
         conn->sent += static_cast<size_t>(r);
+        writes.fetch_add(1, std::memory_order_relaxed);
+        *wrote = true;
       }
+      if (took) return true;
       Recycle(&conn->sending);
       conn->sent = 0;
       // Cleared before the take: a Send() appending after it finds no
@@ -385,8 +398,50 @@ struct TcpTransport::Impl {
         std::lock_guard<std::mutex> lock(send_mu);
         conn->sending.swap(conn->outbuf);
       }
-      if (conn->sending.empty()) return true;
     }
+  }
+
+  void DrainWakePipe() {
+    uint8_t drain[256];
+    while (read(wake_pipe[0], drain, sizeof(drain)) > 0) {
+    }
+  }
+
+  // Reads from every peer whose entry of `fds` polled ready, and drains
+  // the wake pipe (rank -1) if it did. A failed connection is marked dead
+  // and leaves the set.
+  void ServiceReady(struct pollfd* fds, const int* ranks, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      if (ranks[i] < 0) {
+        if (fds[i].revents & POLLIN) DrainWakePipe();
+        continue;
+      }
+      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) &&
+          !ReadFrom(ranks[i], &conns[static_cast<size_t>(ranks[i])])) {
+        MarkDead(ranks[i]);
+        fds[i].fd = -1;
+      }
+    }
+  }
+
+  // The write window: reads until `until_ns`, polling the sockets for
+  // input only, so neither a wakeup nor a writable socket ends it early.
+  // `pfds[0]` is the wake pipe; it is drained at the end, since the pass
+  // that follows takes whatever woke it.
+  void HoldWindow(int64_t until_ns, std::vector<struct pollfd>* pfds,
+                  const std::vector<int>& pfd_rank) {
+    struct pollfd* fds = pfds->data() + 1;
+    const size_t n = pfds->size() - 1;
+    for (size_t i = 0; i < n; ++i) fds[i].events = POLLIN;
+    for (int64_t left = until_ns - NowNs(); left > 0;
+         left = until_ns - NowNs()) {
+      // ppoll: the window is far below poll()'s millisecond resolution.
+      const struct timespec timeout = {0, static_cast<long>(left)};
+      const int pr = ppoll(fds, static_cast<nfds_t>(n), &timeout, nullptr);
+      if (pr < 0 && errno != EINTR) break;
+      if (pr > 0) ServiceReady(fds, pfd_rank.data() + 1, n);
+    }
+    DrainWakePipe();
   }
 
   void MarkDead(int peer) {
@@ -447,15 +502,17 @@ struct TcpTransport::Impl {
       // Close() set the flag is then part of this pass.
       const bool flushing = closing.load(std::memory_order_acquire);
       MaybeBeat();
+      const int64_t pass_ns = NowNs();
       pfds.clear();
       pfd_rank.clear();
       pfds.push_back({wake_pipe[0], POLLIN, 0});
       pfd_rank.push_back(-1);
       bool any_outbound = false;
+      bool wrote = false;
       for (int r = 0; r < world; ++r) {
         Conn& conn = conns[static_cast<size_t>(r)];
         if (conn.fd < 0) continue;
-        if (!WriteTo(&conn)) {
+        if (!WriteTo(&conn, &wrote)) {
           MarkDead(r);
           continue;
         }
@@ -478,27 +535,15 @@ struct TcpTransport::Impl {
             closing_watch.ElapsedSeconds() > options.connect_timeout_seconds) {
           return;
         }
+      } else if (wrote) {
+        HoldWindow(pass_ns + kWriteWindow.count(), &pfds, pfd_rank);
+        continue;
       }
       const int pr =
           poll(pfds.data(), static_cast<nfds_t>(pfds.size()), poll_ms);
       if (pr < 0 && errno != EINTR) return;
-      for (size_t i = 0; i < pfds.size(); ++i) {
-        const int peer = pfd_rank[i];
-        if (peer < 0) {
-          if (pfds[i].revents & POLLIN) {
-            uint8_t drain[256];
-            while (read(wake_pipe[0], drain, sizeof(drain)) > 0) {
-            }
-          }
-          continue;
-        }
-        // POLLOUT needs nothing here: the next pass writes the tail.
-        Conn& conn = conns[static_cast<size_t>(peer)];
-        if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) &&
-            !ReadFrom(peer, &conn)) {
-          MarkDead(peer);
-        }
-      }
+      // POLLOUT needs nothing here: the next pass writes the tail.
+      ServiceReady(pfds.data(), pfd_rank.data(), pfds.size());
     }
   }
 };
@@ -793,6 +838,7 @@ TransportStats TcpTransport::stats() const {
   s.messages_received = im.messages_received.load(std::memory_order_relaxed);
   s.bytes_sent = im.bytes_sent.load(std::memory_order_relaxed);
   s.bytes_received = im.bytes_received.load(std::memory_order_relaxed);
+  s.writes = im.writes.load(std::memory_order_relaxed);
   return s;
 }
 

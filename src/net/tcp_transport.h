@@ -66,10 +66,14 @@ struct TcpOptions {
 /// short lock and writes the wake pipe only when no wakeup is pending, so
 /// neither a syscall nor a wait behind one sits on the send path. The
 /// communicator swaps each buffer out under the lock and writes it outside
-/// it, keeping an unsent tail for POLLOUT. Each recv()'s complete frames
-/// enter the receive queue under one lock; TryReceive() swaps the queue out
-/// and pops from its own copy. Send() never blocks on the network, and an
-/// idle endpoint burns no CPU.
+/// it, keeping an unsent tail for the next pass. It takes and writes each
+/// peer's buffer at most once per 50 us write window: after a pass that
+/// put bytes on a socket it only reads until the window has passed, so a
+/// queued frame waits at most one window and a burst leaves in one send()
+/// per peer (stats().writes counts them). Close()'s flush ignores the
+/// window. Each recv()'s complete frames enter the receive queue under
+/// one lock; TryReceive() swaps the queue out and pops from its own copy.
+/// Send() never blocks on the network, and an idle endpoint burns no CPU.
 ///
 /// Lifecycle: Listen() binds the local listener (port 0 picks an ephemeral
 /// port, see listen_port()); Establish() blocks until the full mesh is

@@ -18,6 +18,8 @@ struct TransportStats {
   int64_t messages_received = 0;  ///< Frames handed out by TryReceive().
   int64_t bytes_sent = 0;         ///< Encoded bytes out (framing included).
   int64_t bytes_received = 0;     ///< Encoded bytes in (framing included).
+  int64_t writes = 0;  ///< Socket send() calls that moved bytes (0 without
+                       ///< sockets); messages_sent / writes = frames/write.
 };
 
 /// Liveness verdict for one peer, as seen by this endpoint. Backends

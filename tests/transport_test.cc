@@ -254,6 +254,62 @@ TEST(TcpTransportTest, ConcurrentSendersDontLoseFrames) {
       mesh[1].get());
 }
 
+// After writing, a communicator only reads until its write window has
+// passed. A frame queued inside the window must leave when it closes, not
+// at the next 200 ms poll timeout. Each side answers at once, so most
+// frames below are queued while the window their sender's previous frame
+// opened is still running.
+TEST(TcpTransportTest, PingPongFramesLeaveWhenTheWindowCloses) {
+  auto mesh = MakeTcpMesh(2);
+  ASSERT_EQ(mesh.size(), 2u);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  // Spins instead of sleeping, so a reply follows its request at once.
+  auto receive = [&](Transport* t, std::vector<uint8_t>* frame) {
+    int src = -1;
+    while (!t->TryReceive(frame, &src)) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  std::vector<uint8_t> frame;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(mesh[0]->Send(1, Payload(0, i)).ok());
+    ASSERT_TRUE(receive(mesh[1].get(), &frame)) << "ping " << i << " late";
+    ASSERT_TRUE(mesh[1]->Send(0, Payload(1, i)).ok());
+    ASSERT_TRUE(receive(mesh[0].get(), &frame)) << "pong " << i << " late";
+    auto decoded = DecodeControl(frame.data(), frame.size());
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().epoch, i);
+  }
+}
+
+// A back-to-back burst from one thread leaves in far fewer socket writes
+// than frames (the queue is taken once per window, not once per frame)
+// and still arrives complete and in order.
+TEST(TcpTransportTest, BurstLeavesInFewerWritesThanFrames) {
+  auto mesh = MakeTcpMesh(2);
+  ASSERT_EQ(mesh.size(), 2u);
+  constexpr int kBurst = 2000;
+  for (int i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(mesh[0]->Send(1, Payload(0, i)).ok());
+  }
+  for (int i = 0; i < kBurst; ++i) {
+    std::vector<uint8_t> frame;
+    int src = -1;
+    ASSERT_TRUE(ReceiveWithin(mesh[1].get(), &frame, &src)) << "frame " << i;
+    auto decoded = DecodeControl(frame.data(), frame.size());
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(src, 0);
+    EXPECT_EQ(decoded.value().epoch, i);
+  }
+  const TransportStats sent = mesh[0]->stats();
+  EXPECT_EQ(sent.messages_sent, kBurst);
+  EXPECT_GT(sent.writes, 0);
+  EXPECT_LT(sent.writes, kBurst / 2);
+}
+
 TEST(TcpTransportTest, EmptyFrameIsRejectedAndTheLinkSurvives) {
   auto mesh = MakeTcpMesh(2);
   ASSERT_EQ(mesh.size(), 2u);
