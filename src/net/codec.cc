@@ -370,14 +370,11 @@ uint8_t* CodecTransport::EncodeFactorForWire(PeerTx* tx,
     return nullptr;
   }
 
-  // Stage 1: quantize the payload entries into wire precision, inside the
-  // slot image the cache takes once the bytes are committed.
+  // Stage 1: quantize the payload entries into wire precision in place,
+  // front to back: entry i's 2 wire bytes land at 2i, before the wide
+  // entries still unread.
   const size_t w = wire_entry_bytes_;
   const size_t row_bytes = static_cast<size_t>(k) * w;
-  tx->scratch.resize(kSlotHeaderBytes + row_bytes);
-  tx->scratch[0] = 1;
-  std::memcpy(tx->scratch.data() + 1, f + 8, 4);  // the hop version
-  uint8_t* const entries = tx->scratch.data() + kSlotHeaderBytes;
   uint8_t* const payload = f + kFactorRowHeaderBytes;
   if (options_.spec.quantizes()) {
     // Locals, not members: the byte writes below may alias any member.
@@ -388,59 +385,78 @@ uint8_t* CodecTransport::EncodeFactorForWire(PeerTx* tx,
           f32 ? ReadAt<float>(payload, static_cast<size_t>(i) * 4)
               : static_cast<float>(
                     ReadAt<double>(payload, static_cast<size_t>(i) * 8));
-      WriteAt<uint16_t>(entries, static_cast<size_t>(i) * 2,
+      WriteAt<uint16_t>(payload, static_cast<size_t>(i) * 2,
                         bf16 ? Bf16FromF32(value) : F16FromF32(value));
     }
-  } else {
-    std::memcpy(entries, payload, row_bytes);
   }
   f[1] = static_cast<uint8_t>(options_.spec.WireOf(options_.native));
-  uint8_t* const slot =
-      options_.spec.delta ? Slot(&tx->cache, id, row_bytes) : nullptr;
+  uint8_t* slot = nullptr;
+  if (options_.spec.delta) {
+    if (id < options_.columns) {
+      // Senders share the table: the first row sizes it for every column,
+      // so it never grows after that.
+      std::call_once(tx->sized, [&] { Slot(&tx->cache, id, row_bytes); });
+    }
+    slot = Slot(&tx->cache, id, row_bytes);
+  }
 
-  // Stage 2: delta against the receiver's last-seen copy of this row.
-  // Flagged frames (regrants) always go full — their semantics must not
-  // depend on any cache the receiver may have lost.
+  // Stage 2: the change mask against the receiver's last-seen copy of this
+  // row. Flagged frames (regrants) always go full — their semantics must
+  // not depend on any cache the receiver may have lost.
+  const size_t full_size = kFactorRowHeaderBytes + row_bytes;
+  const size_t mask_bytes = static_cast<size_t>(k + 7) / 8;
+  const size_t fixed = kFactorRowHeaderBytes + kDeltaPrefixBytes + mask_bytes;
+  uint8_t mask[kMaxWireK / 8];  // the first mask_bytes are used
+  std::memset(mask, 0, mask_bytes);
+  size_t nchanged = 0;
+  bool delta = false;
   if (options_.spec.delta && flags == 0) {
     if (slot != nullptr && slot[0] != 0) {
-      const auto differs = [&](int i) {
+      for (int i = 0; i < k && fixed + nchanged * w < full_size; ++i) {
         const size_t at = static_cast<size_t>(i) * w;
-        return EntryDiffers(entries + at, slot + kSlotHeaderBytes + at, w);
-      };
-      const size_t mask_bytes = static_cast<size_t>(k + 7) / 8;
-      const size_t fixed =
-          kFactorRowHeaderBytes + kDeltaPrefixBytes + mask_bytes;
-      const size_t full_size = kFactorRowHeaderBytes + row_bytes;
-      size_t delta_size = fixed;
-      for (int i = 0; i < k && delta_size < full_size; ++i) {
-        if (differs(i)) delta_size += w;
-      }
-      if (delta_size < full_size) {
-        // Shorter than the native row, so it overwrites the frame's payload.
-        WriteAt<uint32_t>(f, 12, kFactorRowFlagDelta);
-        WriteAt<uint32_t>(f, kFactorRowHeaderBytes, ReadAt<uint32_t>(slot, 1));
-        WriteAt<uint16_t>(f, kFactorRowHeaderBytes + 4,
-                          static_cast<uint16_t>((delta_size - fixed) / w));
-        uint8_t* const mask = payload + kDeltaPrefixBytes;
-        std::memset(mask, 0, mask_bytes);
-        uint8_t* out = mask + mask_bytes;
-        for (int i = 0; i < k; ++i) {
-          if (!differs(i)) continue;
+        if (EntryDiffers(payload + at, slot + kSlotHeaderBytes + at, w)) {
           mask[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
-          std::memcpy(out, entries + static_cast<size_t>(i) * w, w);
-          out += w;
+          ++nchanged;
         }
-        frame->resize(delta_size);
-        delta_hits_.fetch_add(1, std::memory_order_relaxed);
-        m_delta_hits_.Inc();
-        return slot;
+      }
+      delta = fixed + nchanged * w < full_size;
+    }
+    if (delta) {
+      delta_hits_.fetch_add(1, std::memory_order_relaxed);
+      m_delta_hits_.Inc();
+    } else {
+      delta_full_.fetch_add(1, std::memory_order_relaxed);
+      m_delta_full_.Inc();
+    }
+  }
+
+  // Stage 3: commit the row's wire image to its slot, after reading the
+  // old version the delta decodes against.
+  uint32_t base_version = 0;
+  if (slot != nullptr) {
+    base_version = ReadAt<uint32_t>(slot, 1);
+    slot[0] = 1;
+    std::memcpy(slot + 1, f + 8, 4);  // the hop version
+    std::memcpy(slot + kSlotHeaderBytes, payload, row_bytes);
+  }
+
+  // Stage 4: shorter than the full row, so the delta overwrites the
+  // payload, reading the changed entries back from the slot.
+  if (delta) {
+    WriteAt<uint32_t>(f, 12, kFactorRowFlagDelta);
+    WriteAt<uint32_t>(payload, 0, base_version);
+    WriteAt<uint16_t>(payload, 4, static_cast<uint16_t>(nchanged));
+    std::memcpy(payload + kDeltaPrefixBytes, mask, mask_bytes);
+    uint8_t* out = payload + kDeltaPrefixBytes + mask_bytes;
+    for (size_t b = 0; b < mask_bytes; ++b) {
+      for (unsigned m = mask[b]; m != 0; m &= m - 1) {
+        const size_t i = b * 8 + static_cast<size_t>(std::countr_zero(m));
+        std::memcpy(out, slot + kSlotHeaderBytes + i * w, w);
+        out += w;
       }
     }
-    delta_full_.fetch_add(1, std::memory_order_relaxed);
-    m_delta_full_.Inc();
   }
-  std::memcpy(payload, entries, row_bytes);
-  frame->resize(kFactorRowHeaderBytes + row_bytes);
+  frame->resize(delta ? fixed + nchanged * w : full_size);
   return slot;
 }
 
@@ -452,9 +468,10 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
   const size_t raw_size = frame.size();
   const uint8_t type = frame[0];
   PeerTx& tx = *tx_[static_cast<size_t>(dest)];
-  std::lock_guard<std::mutex> lock(tx.mu);
 
-  uint8_t* slot = nullptr;  // takes tx.scratch once the bytes are committed
+  // No lock: the sender holds the row's token, or is the driver with every
+  // worker parked, so no other thread touches its slot (class comment).
+  uint8_t* slot = nullptr;  // committed by the encode
   if ((type == static_cast<uint8_t>(MsgType::kToken) ||
        type == static_cast<uint8_t>(MsgType::kHRow)) &&
       (options_.spec.quantizes() || options_.spec.delta)) {
@@ -463,11 +480,10 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
 
   if (options_.spec.batch && type == static_cast<uint8_t>(MsgType::kToken)) {
     // Buffered tokens are committed: FIFO order makes later deltas decode
-    // against them, and a failed flush keeps them queued for retry — so
-    // the cache advances at buffering time, not at flush time.
+    // against them, and a failed flush keeps them queued for retry.
+    std::lock_guard<std::mutex> lock(tx.mu);
     tx.buffered_bytes += frame.size();
     tx.buffer.push_back(std::move(frame));
-    if (slot != nullptr) std::ranges::copy(tx.scratch, slot);
     raw_bytes_.fetch_add(static_cast<int64_t>(raw_size),
                          std::memory_order_relaxed);
     m_raw_bytes_.Inc(static_cast<int64_t>(raw_size));
@@ -484,27 +500,32 @@ Status CodecTransport::Send(int dest, std::vector<uint8_t> frame) {
 
   // Any non-buffered frame must not overtake buffered tokens: flush first
   // so the per-pair FIFO contract survives coalescing.
+  std::unique_lock<std::mutex> lock;
+  Status sent;
   if (options_.spec.batch) {
-    const Status flushed = FlushLocked(dest, &tx);
-    if (!flushed.ok()) return flushed;
+    lock = std::unique_lock<std::mutex>(tx.mu);
+    sent = FlushLocked(dest, &tx);
   }
 
   const bool lease_sync = IsLeaseSyncControl(frame);
   const size_t coded_size = frame.size();
-  const Status sent = base_->Send(dest, std::move(frame));
-  if (sent.ok()) {
-    raw_bytes_.fetch_add(static_cast<int64_t>(raw_size),
-                         std::memory_order_relaxed);
-    m_raw_bytes_.Inc(static_cast<int64_t>(raw_size));
-    coded_bytes_.fetch_add(static_cast<int64_t>(coded_size),
-                           std::memory_order_relaxed);
-    m_coded_bytes_.Inc(static_cast<int64_t>(coded_size));
-    if (slot != nullptr) std::ranges::copy(tx.scratch, slot);
-    // The recovery protocol's channel-flush marker: everything after it on
-    // this channel decodes against a fresh cache on the receiving end, so
-    // the sending end starts over too (full rows until re-warmed).
-    if (lease_sync) std::ranges::fill(tx.cache.slots, 0);
+  if (sent.ok()) sent = base_->Send(dest, std::move(frame));
+  if (!sent.ok()) {
+    // Not delivered, so the receiver's baseline did not move: the column's
+    // next row must go full.
+    if (slot != nullptr) slot[0] = 0;
+    return sent;
   }
+  raw_bytes_.fetch_add(static_cast<int64_t>(raw_size),
+                       std::memory_order_relaxed);
+  m_raw_bytes_.Inc(static_cast<int64_t>(raw_size));
+  coded_bytes_.fetch_add(static_cast<int64_t>(coded_size),
+                         std::memory_order_relaxed);
+  m_coded_bytes_.Inc(static_cast<int64_t>(coded_size));
+  // The recovery protocol's channel-flush marker: everything after it on
+  // this channel decodes against a fresh cache on the receiving end, so
+  // the sending end starts over too (full rows until re-warmed).
+  if (lease_sync) std::ranges::fill(tx.cache.slots, 0);
   return sent;
 }
 

@@ -122,7 +122,9 @@ struct CodecOptions {
 
   /// Item columns of the job: the delta caches hold one slot per column,
   /// and a received row whose id is at or past this count bypasses them on
-  /// its way to the solver's shape check. 0 = grow the caches on demand.
+  /// its way to the solver's shape check. Any number of threads may send
+  /// once this is set. 0 = grow the caches on demand, which allows only
+  /// one sending thread.
   int32_t columns = 0;
 
   /// Ceiling on any single transport payload this codec emits. Must not
@@ -159,6 +161,15 @@ struct CodecOptions {
 ///    The recovery protocol's kLeaseSync channel markers empty them on
 ///    both ends (same FIFO position), so post-recovery rows always go
 ///    full — regrants never decode against pre-death state.
+///  - Token ownership, not a lock, guards the sending end's slots: only
+///    the thread that holds column j's token sends column j's rows, or the
+///    driver with every worker parked (barrier h-row broadcasts, the
+///    kLeaseSync clear). That is the rule that already lets a worker write
+///    h_j unlocked, so an unbatched Send() takes no mutex. It commits the
+///    row to its slot before the base send, and clears the slot when that
+///    send fails — the receiver never saw the row, so the column's next
+///    row goes full. With CodecOptions::columns unset the slot table grows
+///    on demand, and only one thread may send.
 ///  - A delta frame whose base version misses the receiver cache is
 ///    dropped (counted in stale_rejects). Per-channel FIFO plus exclusive
 ///    token ownership guarantee this only happens to injected duplicate or
@@ -215,20 +226,22 @@ class CodecTransport final : public Transport {
   /// The delta baselines of one directed channel: one flat slot per
   /// column, indexed by column id, holding a present flag, the hop version
   /// of the last row that crossed and its k wire-precision entries. Rows of
-  /// a width other than the first cached row's bypass the cache.
+  /// a width other than the first cached row's bypass the cache. On the
+  /// sending end, slot j belongs to whoever holds token j (class comment);
+  /// the receiving end's caches are the driver thread's.
   struct RowCache {
     size_t row_bytes = 0;        // k × wire entry bytes (0 = unused)
     std::vector<uint8_t> slots;  // column j at j × (5 + row_bytes)
   };
 
-  /// Per-destination sender state (mutex-guarded: workers send
-  /// concurrently).
+  /// Per-destination sender state. Workers send concurrently: the slots
+  /// need no lock (token ownership), `mu` guards the batch buffer alone.
   struct PeerTx {
+    std::once_flag sized;  // sizes `cache` once when columns > 0
+    RowCache cache;        // delta baseline per column
     std::mutex mu;
-    RowCache cache;                           // delta baseline per column
-    std::vector<uint8_t> scratch;             // slot image of the row in flight
-    std::deque<std::vector<uint8_t>> buffer;  // coalescing buffer
-    size_t buffered_bytes = 0;
+    std::deque<std::vector<uint8_t>> buffer;  // coalescing buffer (mu)
+    size_t buffered_bytes = 0;                // (mu)
   };
 
   /// The cache slot of column `id` for rows of `row_bytes`, grown on first
@@ -236,8 +249,8 @@ class CodecTransport final : public Transport {
   uint8_t* Slot(RowCache* cache, int32_t id, size_t row_bytes) const;
 
   /// Quantize + delta stages for one outgoing factor row, rewritten in
-  /// place. Returns the cache slot that takes tx->scratch once the bytes
-  /// are committed (buffered or accepted by the base transport), or null.
+  /// place. Commits the row to its cache slot and returns that slot, so a
+  /// failed send can clear it; null when the row bypasses the cache.
   uint8_t* EncodeFactorForWire(PeerTx* tx, std::vector<uint8_t>* frame);
 
   /// Restores one received wire factor row to a native frame in place;

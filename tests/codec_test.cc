@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -873,6 +875,191 @@ TEST(CodecTransportTest, MutatedFramesAreDecodedDroppedOrLeftToTheSolver) {
   EXPECT_GT(dropped, 0);
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// ---- concurrent senders and failed sends ----
+
+// Threads pass columns among themselves through a locked queue, as the
+// solver's workers pass tokens, and each hop sends the column's next row
+// through one shared sender. Token ownership alone keeps every column's
+// delta baseline consistent: each row must decode to the bf16 image of
+// what its holder sent, with no stale replica on the way.
+TEST(CodecTransportTest, ConcurrentHandOffsThroughOneSenderDecodeExactly) {
+  constexpr int kThreads = 3;
+  constexpr int kCols = 64;
+  constexpr int kHops = 100;
+  constexpr int k = 8;
+  auto fabric = MakeLoopbackFabric(2);
+  CodecOptions opts;
+  opts.spec = WireCodecSpec::Parse("bf16+delta").value();
+  opts.columns = kCols;
+  CodecTransport tx(fabric[0].get(), opts);
+  CodecTransport rx(fabric[1].get(), opts);
+
+  // rows[j] and sent[j] belong to whoever holds column j's token.
+  std::vector<std::vector<double>> rows(kCols, std::vector<double>(k));
+  for (int j = 0; j < kCols; ++j) {
+    for (int i = 0; i < k; ++i) {
+      rows[static_cast<size_t>(j)][static_cast<size_t>(i)] =
+          0.25 * ((j * 7 + i * 3) % 64) - 8.0;
+    }
+  }
+  std::vector<std::vector<std::vector<double>>> sent(kCols);
+  std::mutex mu;
+  std::deque<int32_t> queue;
+  for (int32_t j = 0; j < kCols; ++j) queue.push_back(j);
+  int live = kCols;  // columns with hops left (mu)
+  std::atomic<bool> ok{true};
+
+  // Steps an entry by 1.0 within [-16, 16): always a bf16-visible change.
+  const auto step = [](double* v) { *v = *v + 1.0 >= 16.0 ? -16.0 : *v + 1.0; };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::vector<uint8_t> frame;
+      for (;;) {
+        int32_t j = -1;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          if (live == 0) return;
+          if (!queue.empty()) {
+            j = queue.front();
+            queue.pop_front();
+          }
+        }
+        if (j < 0) {
+          std::this_thread::yield();  // every token is held elsewhere
+          continue;
+        }
+        std::vector<double>& row = rows[static_cast<size_t>(j)];
+        std::vector<std::vector<double>>& hist = sent[static_cast<size_t>(j)];
+        const int hop = static_cast<int>(hist.size());
+        switch ((hop + j) % 3) {  // hop 0 of every column goes full anyway
+          case 0:
+            break;  // no entry changes
+          case 1:
+            step(&row[static_cast<size_t>(hop % k)]);
+            break;
+          default:
+            for (double& v : row) step(&v);
+        }
+        hist.push_back(row);
+        EncodeFactorRow<double>(MsgType::kToken, j,
+                                static_cast<uint32_t>(hop + 1), row.data(), k,
+                                &frame);
+        if (!tx.Send(1, frame).ok()) ok.store(false);
+        std::lock_guard<std::mutex> lock(mu);
+        if (hop + 1 < kHops) {
+          queue.push_back(j);
+        } else {
+          --live;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ASSERT_TRUE(ok.load());
+
+  std::vector<uint8_t> got;
+  int src = -1;
+  int frames = 0;
+  while (rx.TryReceive(&got, &src)) {
+    ++frames;
+    auto view = DecodeFactorRow<double>(got.data(), got.size());
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    const int32_t j = view.value().id;
+    const uint32_t v = view.value().version;
+    ASSERT_TRUE(j >= 0 && j < kCols && v >= 1 && v <= kHops);
+    const std::vector<double>& row =
+        sent[static_cast<size_t>(j)][static_cast<size_t>(v - 1)];
+    for (int i = 0; i < k; ++i) {
+      EXPECT_EQ(view.value().values[i],
+                Restored(opts.spec, row[static_cast<size_t>(i)]))
+          << "column " << j << " version " << v << " entry " << i;
+    }
+  }
+  EXPECT_EQ(frames, kCols * kHops);
+  EXPECT_EQ(rx.codec_stats().stale_rejects, 0);
+  EXPECT_GT(tx.codec_stats().delta_hits, 0);
+  EXPECT_GT(tx.codec_stats().delta_full, kCols);  // past each first row
+}
+
+// Forwards to a base transport, failing the next Send with Unavailable
+// once armed.
+class FailNextSendTransport final : public Transport {
+ public:
+  explicit FailNextSendTransport(Transport* base) : base_(base) {}
+  int rank() const override { return base_->rank(); }
+  int world() const override { return base_->world(); }
+  Status Send(int dest, std::vector<uint8_t> frame) override {
+    if (fail_next) {
+      fail_next = false;
+      return Status::Unavailable("injected send failure");
+    }
+    return base_->Send(dest, std::move(frame));
+  }
+  bool TryReceive(std::vector<uint8_t>* frame, int* src) override {
+    return base_->TryReceive(frame, src);
+  }
+  TransportStats stats() const override { return base_->stats(); }
+  Status Close() override { return base_->Close(); }
+
+  bool fail_next = false;
+
+ private:
+  Transport* const base_;
+};
+
+// A row the base transport refused never reached the receiver, so the
+// sender's baseline must not keep it: the retry of the same bytes goes
+// full, or the receiver would drop it as a stale delta.
+TEST(CodecTransportTest, FailedSendClearsTheDeltaBaseline) {
+  auto fabric = MakeLoopbackFabric(2);
+  FailNextSendTransport flaky(fabric[0].get());
+  CodecOptions opts;
+  opts.spec = WireCodecSpec::Parse("bf16+delta").value();
+  opts.columns = 16;
+  CodecTransport tx(&flaky, opts);
+  CodecTransport rx(fabric[1].get(), opts);
+  std::vector<double> row = {1.0, -2.0, 0.5, 3.0, 4.0, -8.0, 0.25, 16.0};
+  std::vector<uint8_t> frame;
+  std::vector<uint8_t> got;
+  int src = -1;
+  const auto expect_decodes = [&](uint32_t version) {
+    ASSERT_TRUE(rx.TryReceive(&got, &src)) << "version " << version;
+    auto view = DecodeFactorRow<double>(got.data(), got.size());
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(view.value().version, version);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(view.value().values[i],
+                Restored(opts.spec, row[static_cast<size_t>(i)]))
+          << "version " << version << " entry " << i;
+    }
+  };
+
+  EncodeFactorRow<double>(MsgType::kToken, 3, 1u, row.data(), 8, &frame);
+  ASSERT_TRUE(tx.Send(1, frame).ok());  // v1 goes full
+  expect_decodes(1u);
+  EXPECT_EQ(tx.codec_stats().delta_full, 1);
+
+  row[2] = 0.75;
+  EncodeFactorRow<double>(MsgType::kToken, 3, 2u, row.data(), 8, &frame);
+  flaky.fail_next = true;
+  const Status failed = tx.Send(1, frame);
+  EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(rx.TryReceive(&got, &src));  // nothing was delivered
+
+  ASSERT_TRUE(tx.Send(1, frame).ok());  // the retry resends the same bytes
+  EXPECT_EQ(tx.codec_stats().delta_full, 2);
+  expect_decodes(2u);
+
+  row[5] = -7.0;
+  EncodeFactorRow<double>(MsgType::kToken, 3, 3u, row.data(), 8, &frame);
+  const int64_t hits = tx.codec_stats().delta_hits;
+  ASSERT_TRUE(tx.Send(1, frame).ok());
+  EXPECT_EQ(tx.codec_stats().delta_hits, hits + 1);
+  expect_decodes(3u);
+  EXPECT_EQ(rx.codec_stats().stale_rejects, 0);
 }
 
 // ---- TCP integration: hello negotiation + the oversized-frame fix ----

@@ -585,6 +585,47 @@ TEST(DistNomadTest, TwoRankTcpTrainsEndToEnd) {
   for (auto& t : mesh) EXPECT_TRUE(t->Close().ok());
 }
 
+// The benchmark's own wiring: 2 ranks x 2 workers over real sockets with
+// bf16+delta, so each rank's workers share one codec sender per peer. Every
+// token one rank sent must reach the other.
+TEST(DistNomadTest, TwoRankTcpWithDeltaCodecConservesTokens) {
+  const Dataset ds = MakeItemRichDataset();
+  DistNomadOptions o = DistOptions(/*epochs=*/10);
+  o.wire_codec = WireCodecSpec::Parse("bf16+delta").value();
+  std::vector<std::unique_ptr<TcpTransport>> mesh;
+  std::vector<TcpPeer> peers(2);
+  for (int r = 0; r < 2; ++r) {
+    TcpOptions topts;
+    topts.hello_k = 8;
+    topts.hello_codec = o.wire_codec.ToByte();
+    auto t = TcpTransport::Listen(r, 2, /*port=*/0, topts);
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    peers[static_cast<size_t>(r)] = {"127.0.0.1", t.value()->listen_port()};
+    mesh.push_back(std::move(t).value());
+  }
+  std::vector<std::thread> establishers;
+  for (int r = 0; r < 2; ++r) {
+    establishers.emplace_back([&, r] {
+      const Status s = mesh[static_cast<size_t>(r)]->Establish(peers);
+      EXPECT_TRUE(s.ok()) << "rank " << r << ": " << s.ToString();
+    });
+  }
+  for (auto& t : establishers) t.join();
+
+  auto results = RunWorld(ds, o, {mesh[0].get(), mesh[1].get()});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_LT(results[0].trace.FinalRmse(), 0.45);
+  ASSERT_EQ(results[0].rank_traffic.size(), 2u);
+  int64_t sent = 0, received = 0;
+  for (const RankTrafficStats& t : results[0].rank_traffic) {
+    EXPECT_GT(t.tokens_sent, 0) << "rank " << t.rank << " never sent";
+    sent += t.tokens_sent;
+    received += t.tokens_received;
+  }
+  EXPECT_EQ(sent, received);
+  for (auto& t : mesh) EXPECT_TRUE(t->Close().ok());
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace nomad
